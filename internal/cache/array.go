@@ -4,7 +4,10 @@
 // composes these into L1 caches and L2 NUCA slices.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Invalid is the reserved line state meaning "not present". Protocol
 // packages layer their own states on top (any non-zero value).
@@ -25,6 +28,7 @@ func (l *Line) Valid() bool { return l.State != Invalid }
 // Array is a set-associative cache array with tree-pseudoLRU replacement.
 type Array struct {
 	sets  int
+	bits  uint // log2(sets)
 	ways  int
 	lines []Line   // sets*ways, row-major by set
 	plru  []uint64 // one tree-bit word per set
@@ -46,6 +50,7 @@ func NewArray(sizeBytes, ways, lineSize int) *Array {
 	}
 	return &Array{
 		sets:  sets,
+		bits:  uint(bits.TrailingZeros(uint(sets))),
 		ways:  ways,
 		lines: make([]Line, sets*ways),
 		plru:  make([]uint64, sets),
@@ -63,11 +68,7 @@ func (a *Array) Ways() int { return a.ways }
 // size) do not pathologically collide — real allocations carry random page
 // offsets that real caches benefit from; the fold stands in for that.
 func (a *Array) SetOf(lineAddr uint64) int {
-	bits := uint(0)
-	for 1<<bits < a.sets {
-		bits++
-	}
-	h := lineAddr ^ (lineAddr >> bits) ^ (lineAddr >> (2 * bits))
+	h := lineAddr ^ (lineAddr >> a.bits) ^ (lineAddr >> (2 * a.bits))
 	return int(h & uint64(a.sets-1))
 }
 

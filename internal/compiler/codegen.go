@@ -200,7 +200,12 @@ func Generate(b *Benchmark, opt GenOptions) isa.Program {
 	return g
 }
 
-// generator lazily materializes the instruction stream one tile at a time.
+// generator lazily materializes the instruction stream in small batches:
+// a tile's control and sync prologue, then one work iteration per refill,
+// then the kernel epilogue. Only one batch is ever buffered, so a core's
+// stream costs O(refs per iteration) memory however long the tile. The
+// random address draws (rnd) happen in iteration order inside each batch,
+// exactly as a whole-tile expansion would make them.
 type generator struct {
 	b   *Benchmark
 	opt GenOptions
@@ -213,6 +218,11 @@ type generator struct {
 	tile0  int // first tile owned by this core
 	tileN  int // one past the last
 	rnd    rng
+
+	// The tile whose work phase is being emitted: iterations
+	// [itStart, itEnd), it the next one.
+	itStart, it, itEnd int
+	hybrid             bool // the tile runs the SPM transformation
 
 	buf []isa.Inst
 	pos int
@@ -231,7 +241,8 @@ func (g *generator) Next() (isa.Inst, bool) {
 }
 
 // refill produces the next batch of instructions. Returns false at stream
-// end.
+// end. A batch may be empty (a cache-mode tile has no prologue; a sparse
+// iteration may skip every reference).
 func (g *generator) refill() bool {
 	g.buf = g.buf[:0]
 	g.pos = 0
@@ -245,8 +256,14 @@ func (g *generator) refill() bool {
 		g.initKernel(k)
 	}
 
+	if g.it < g.itEnd {
+		g.emitIteration(k, g.it)
+		g.it++
+		return true
+	}
+
 	if g.tile < g.tileN {
-		g.emitTile(k, g.tile)
+		g.beginTile(k, g.tile)
 		g.tile++
 		return true
 	}
@@ -304,94 +321,98 @@ func (g *generator) runtimePC(i int) uint64 {
 	return runtimeCodeBase + uint64(g.kernel%4)*kernelCodeSpan + uint64(i)*4
 }
 
-// emitTile emits control + sync + work for one tile (hybrid), or just the
-// work block (cache-based).
-func (g *generator) emitTile(k *Kernel, tile int) {
+// beginTile emits the control and sync phases of one tile (hybrid) and
+// arms the work-phase cursor over the tile's iterations.
+func (g *generator) beginTile(k *Kernel, tile int) {
 	itStart := tile * g.plan.TileIters
 	itEnd := itStart + g.plan.TileIters
 	if itEnd > k.Iters {
 		itEnd = k.Iters
 	}
-	hybrid := g.opt.Hybrid && g.plan.NumBuffers > 0
-
-	if hybrid {
-		// Control phase: one MAP per SPM reference (Fig. 3). MAP
-		// writes back the previously mapped chunk when the buffer is
-		// dirty and dma-gets the next chunk.
-		bufIdx := 0
-		rpc := 0
-		for ri := range k.Refs {
-			r := &k.Refs[ri]
-			if Classify(r) != ClassSPM {
-				continue
-			}
-			// A sparse section (Every > 1) moves proportionally
-			// fewer bytes per tile.
-			ev := r.every()
-			chunkSpan := g.plan.BufBytes / ev
-			gmChunk := r.Array.Base + uint64(tile)*uint64(chunkSpan)
-			spmAddr := g.opt.SPMBase + uint64(bufIdx)*uint64(g.plan.BufBytes)
-			bytes := ((itEnd - itStart + ev - 1) / ev) * elemBytes
-			g.buf = append(g.buf, isa.Inst{Kind: isa.Compute, Ops: mapCallOps,
-				PC: g.runtimePC(rpc), Phase: isa.PhaseControl})
-			rpc++
-			if r.IsWrite && tile > g.tile0 {
-				prevChunk := r.Array.Base + uint64(tile-1)*uint64(chunkSpan)
-				g.buf = append(g.buf, isa.Inst{Kind: isa.DMAPut,
-					Addr: prevChunk, Addr2: spmAddr, Bytes: chunkSpan,
-					Tag: bufIdx, PC: g.runtimePC(rpc), Phase: isa.PhaseControl})
-				rpc++
-			}
-			g.buf = append(g.buf, isa.Inst{Kind: isa.DMAGet,
-				Addr: gmChunk, Addr2: spmAddr, Bytes: bytes,
-				Tag: bufIdx, PC: g.runtimePC(rpc), Phase: isa.PhaseControl})
-			rpc++
-			bufIdx++
-		}
-		// Synchronization phase: wait for every buffer's transfers.
-		for bi := 0; bi < g.plan.NumBuffers; bi++ {
-			g.buf = append(g.buf, isa.Inst{Kind: isa.DMASync, Tag: bi,
-				PC: g.runtimePC(rpc), Phase: isa.PhaseSync})
-			rpc++
-		}
+	g.itStart, g.it, g.itEnd = itStart, itStart, itEnd
+	g.hybrid = g.opt.Hybrid && g.plan.NumBuffers > 0
+	if !g.hybrid {
+		return
 	}
 
-	// Work phase.
-	for it := itStart; it < itEnd; it++ {
-		slot := 0
-		bufIdx := 0
-		for ri := range k.Refs {
-			r := &k.Refs[ri]
-			class := Classify(r)
-			if !hybrid {
-				// Cache-based machine: everything is a plain GM
-				// access (no SPMs, no guard prefix semantics).
-				class = ClassGM
-			}
-			isSPM := class == ClassSPM
-			var myBuf int
-			if isSPM {
-				myBuf = bufIdx
-				bufIdx++
-			}
-			if it%r.every() != 0 {
-				slot++
-				continue
-			}
-			var addr uint64
-			if isSPM {
-				addr = g.opt.SPMBase + uint64(myBuf)*uint64(g.plan.BufBytes) +
-					uint64((it-itStart)/r.every())*elemBytes
-			} else {
-				addr = refAddr(r, it, &g.opt, &g.rnd)
-			}
-			g.buf = append(g.buf, memInst(r, class, addr, g.workPC(slot), isa.PhaseWork))
+	// Control phase: one MAP per SPM reference (Fig. 3). MAP writes back
+	// the previously mapped chunk when the buffer is dirty and dma-gets
+	// the next chunk.
+	bufIdx := 0
+	rpc := 0
+	for ri := range k.Refs {
+		r := &k.Refs[ri]
+		if Classify(r) != ClassSPM {
+			continue
+		}
+		// A sparse section (Every > 1) moves proportionally fewer
+		// bytes per tile.
+		ev := r.every()
+		chunkSpan := g.plan.BufBytes / ev
+		gmChunk := r.Array.Base + uint64(tile)*uint64(chunkSpan)
+		spmAddr := g.opt.SPMBase + uint64(bufIdx)*uint64(g.plan.BufBytes)
+		bytes := ((itEnd - itStart + ev - 1) / ev) * elemBytes
+		g.buf = append(g.buf, isa.Inst{Kind: isa.Compute, Ops: mapCallOps,
+			PC: g.runtimePC(rpc), Phase: isa.PhaseControl})
+		rpc++
+		if r.IsWrite && tile > g.tile0 {
+			prevChunk := r.Array.Base + uint64(tile-1)*uint64(chunkSpan)
+			g.buf = append(g.buf, isa.Inst{Kind: isa.DMAPut,
+				Addr: prevChunk, Addr2: spmAddr, Bytes: chunkSpan,
+				Tag: bufIdx, PC: g.runtimePC(rpc), Phase: isa.PhaseControl})
+			rpc++
+		}
+		g.buf = append(g.buf, isa.Inst{Kind: isa.DMAGet,
+			Addr: gmChunk, Addr2: spmAddr, Bytes: bytes,
+			Tag: bufIdx, PC: g.runtimePC(rpc), Phase: isa.PhaseControl})
+		rpc++
+		bufIdx++
+	}
+	// Synchronization phase: wait for every buffer's transfers.
+	for bi := 0; bi < g.plan.NumBuffers; bi++ {
+		g.buf = append(g.buf, isa.Inst{Kind: isa.DMASync, Tag: bi,
+			PC: g.runtimePC(rpc), Phase: isa.PhaseSync})
+		rpc++
+	}
+}
+
+// emitIteration emits the work phase of global iteration it of the current
+// tile: one memory instruction per reference active at it, then the
+// iteration's compute block.
+func (g *generator) emitIteration(k *Kernel, it int) {
+	slot := 0
+	bufIdx := 0
+	for ri := range k.Refs {
+		r := &k.Refs[ri]
+		class := Classify(r)
+		if !g.hybrid {
+			// Cache-based machine: everything is a plain GM access
+			// (no SPMs, no guard prefix semantics).
+			class = ClassGM
+		}
+		isSPM := class == ClassSPM
+		var myBuf int
+		if isSPM {
+			myBuf = bufIdx
+			bufIdx++
+		}
+		if it%r.every() != 0 {
 			slot++
+			continue
 		}
-		if k.ComputeOps > 0 {
-			g.buf = append(g.buf, isa.Inst{Kind: isa.Compute, Ops: k.ComputeOps,
-				PC: g.workPC(slot), Phase: isa.PhaseWork})
+		var addr uint64
+		if isSPM {
+			addr = g.opt.SPMBase + uint64(myBuf)*uint64(g.plan.BufBytes) +
+				uint64((it-g.itStart)/r.every())*elemBytes
+		} else {
+			addr = refAddr(r, it, &g.opt, &g.rnd)
 		}
+		g.buf = append(g.buf, memInst(r, class, addr, g.workPC(slot), isa.PhaseWork))
+		slot++
+	}
+	if k.ComputeOps > 0 {
+		g.buf = append(g.buf, isa.Inst{Kind: isa.Compute, Ops: k.ComputeOps,
+			PC: g.workPC(slot), Phase: isa.PhaseWork})
 	}
 }
 

@@ -8,9 +8,9 @@
 // The kernel IR is declarative: a kernel is a parallel loop with a set of
 // memory references, each carrying an access pattern and an alias-analysis
 // verdict (standing in for the GCC alias report the paper consumes). Code
-// generation is lazy — work phases are materialized one tile at a time — so
-// multi-million-iteration kernels do not hold their instruction streams in
-// memory.
+// generation is lazy — work phases are materialized one loop iteration at a
+// time — so multi-million-iteration kernels do not hold their instruction
+// streams in memory.
 package compiler
 
 import "fmt"

@@ -204,9 +204,9 @@ func (o Overrides) Validate() error {
 }
 
 // Apply writes every set knob into c, leaving unset knobs at c's values.
-func (o Overrides) Apply(c *Config) {
+func (o *Overrides) Apply(c *Config) {
 	for _, k := range knobs {
-		if v := *k.Over(&o); v > 0 {
+		if v := *k.Over(o); v > 0 {
 			*k.Field(c) = v
 		}
 	}

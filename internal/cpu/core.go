@@ -14,6 +14,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/isa"
 	"repro/internal/sim"
@@ -61,13 +62,6 @@ const (
 	blockDrain // program done, draining outstanding accesses
 )
 
-// lsqEntry mirrors one in-flight memory access for the §3.4 re-check.
-type lsqEntry struct {
-	addr  uint64
-	store bool
-	live  bool
-}
-
 // Core executes one instruction stream.
 type Core struct {
 	eng  *sim.Engine
@@ -96,8 +90,7 @@ type Core struct {
 	lastStamp   sim.Time
 
 	// LSQ mirror for ordering re-checks.
-	lsq    []lsqEntry
-	lsqPos int
+	lsq lsq
 
 	retired    uint64
 	flushes    uint64
@@ -144,11 +137,11 @@ func (t *memTok) Fire() {
 	c.freeToks = t
 	if store {
 		c.stores--
-		c.lsqRemove(addr, true)
+		c.lsq.remove(addr, true)
 		c.unblockIf(blockStore)
 	} else {
 		c.loads--
-		c.lsqRemove(addr, false)
+		c.lsq.remove(addr, false)
 		c.unblockIf(blockLoad)
 	}
 	c.maybeFinish()
@@ -175,7 +168,7 @@ func NewCore(eng *sim.Engine, id int, p Params, ops Ops, prog isa.Program, bar *
 	}
 	c := &Core{
 		eng: eng, id: id, p: p, ops: ops, prog: prog, bar: bar,
-		lsq:      make([]lsqEntry, p.LQEntries+p.SQEntries),
+		lsq:      newLSQ(p.LQEntries + p.SQEntries),
 		onFinish: onFinish,
 	}
 	c.resume = sim.AsCont(func() { c.account(); c.step() })
@@ -340,7 +333,7 @@ func (c *Core) execute(inst isa.Inst) bool {
 		}
 		c.retired++
 		c.chargeIssue(1)
-		c.lsqInsert(inst.Addr, false)
+		c.lsq.insert(inst.Addr, false)
 		c.loads++
 		c.ops.Mem(c.id, inst, c.newTok(inst.Addr, false))
 		return true
@@ -355,7 +348,7 @@ func (c *Core) execute(inst isa.Inst) bool {
 		}
 		c.retired++
 		c.chargeIssue(1)
-		c.lsqInsert(inst.Addr, true)
+		c.lsq.insert(inst.Addr, true)
 		c.stores++
 		c.ops.Mem(c.id, inst, c.newTok(inst.Addr, true))
 		return true
@@ -438,19 +431,86 @@ func (c *Core) maybeFinish() {
 // ---------------------------------------------------------------------------
 // LSQ mirror (§3.4)
 
-func (c *Core) lsqInsert(addr uint64, store bool) {
-	c.lsq[c.lsqPos] = lsqEntry{addr: addr, store: store, live: true}
-	c.lsqPos = (c.lsqPos + 1) % len(c.lsq)
+// lsq mirrors the core's in-flight memory accesses for the §3.4 re-check: a
+// ring of LQ+SQ slots written in issue order, where a wrap overwrites
+// whatever slot it lands on, live or not. A completing access frees the
+// lowest-index live slot with its address and direction. A small hash index
+// keeps that rule without scanning the ring: every live slot is linked,
+// in ascending slot order, into the bucket of its 8-byte word, so both the
+// completion and the re-check walk only the slots that can match.
+type lsq struct {
+	slots []lsqEntry
+	pos   int
+	heads []int32 // per bucket: lowest live slot hashed there, -1 if none
+	shift uint    // 64 - log2(len(heads))
 }
 
-func (c *Core) lsqRemove(addr uint64, store bool) {
-	for i := range c.lsq {
-		e := &c.lsq[i]
-		if e.live && e.addr == addr && e.store == store {
+// lsqEntry is one ring slot.
+type lsqEntry struct {
+	addr  uint64
+	next  int32 // next live slot in the same bucket (ascending), -1 ends
+	store bool
+	live  bool
+}
+
+func newLSQ(n int) lsq {
+	log2 := bits.Len(uint(n - 1)) // buckets: n rounded up to a power of two
+	heads := make([]int32, 1<<log2)
+	for i := range heads {
+		heads[i] = -1
+	}
+	return lsq{slots: make([]lsqEntry, n), heads: heads, shift: uint(64 - log2)}
+}
+
+// bucket returns the head link of the bucket addr's 8-byte word hashes to.
+func (q *lsq) bucket(addr uint64) *int32 {
+	return &q.heads[(addr>>3)*0x9E3779B97F4A7C15>>q.shift]
+}
+
+// insert records a newly issued access in the next ring slot.
+func (q *lsq) insert(addr uint64, store bool) {
+	s := int32(q.pos)
+	e := &q.slots[s]
+	if e.live {
+		p := q.bucket(e.addr)
+		for *p != s {
+			p = &q.slots[*p].next
+		}
+		*p = e.next
+	}
+	p := q.bucket(addr)
+	for *p >= 0 && *p < s {
+		p = &q.slots[*p].next
+	}
+	*e = lsqEntry{addr: addr, next: *p, store: store, live: true}
+	*p = s
+	q.pos = (q.pos + 1) % len(q.slots)
+}
+
+// remove frees the lowest live slot holding (addr, store), if a ring wrap
+// has not already overwritten it.
+func (q *lsq) remove(addr uint64, store bool) {
+	for p := q.bucket(addr); *p >= 0; p = &q.slots[*p].next {
+		e := &q.slots[*p]
+		if e.addr == addr && e.store == store {
+			*p = e.next
 			e.live = false
 			return
 		}
 	}
+}
+
+// conflict reports whether a live access touches addr's 8-byte word with at
+// least one of the pair a store.
+func (q *lsq) conflict(addr uint64, store bool) bool {
+	const wordMask = ^uint64(7)
+	for s := *q.bucket(addr); s >= 0; s = q.slots[s].next {
+		e := &q.slots[s]
+		if e.addr&wordMask == addr&wordMask && (e.store || store) {
+			return true
+		}
+	}
+	return false
 }
 
 // Recheck implements the protocol's RecheckHook for this core: the guarded
@@ -459,19 +519,15 @@ func (c *Core) lsqRemove(addr uint64, store bool) {
 // A hit means the out-of-order core may have violated program order, so the
 // pipeline is flushed (PipelineDepth cycles).
 func (c *Core) Recheck(spmAddr uint64, isStore bool) bool {
-	const wordMask = ^uint64(7)
-	for i := range c.lsq {
-		e := &c.lsq[i]
-		if e.live && e.addr&wordMask == spmAddr&wordMask && (e.store || isStore) {
-			c.flushes++
-			if c.tr != nil {
-				c.tr.Add(telemetry.KFlush, c.id, 0, spmAddr, 0)
-			}
-			c.budget += sim.Time(c.p.PipelineDepth)
-			return true
-		}
+	if !c.lsq.conflict(spmAddr, isStore) {
+		return false
 	}
-	return false
+	c.flushes++
+	if c.tr != nil {
+		c.tr.Add(telemetry.KFlush, c.id, 0, spmAddr, 0)
+	}
+	c.budget += sim.Time(c.p.PipelineDepth)
+	return true
 }
 
 // ---------------------------------------------------------------------------

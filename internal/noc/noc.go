@@ -68,6 +68,9 @@ type Mesh struct {
 	// linkFree[node][dir] is the first cycle the link leaving node in
 	// direction dir is available.
 	linkFree [][numDirs]sim.Time
+	// xy[node] is the node's (column, row), precomputed so routing does
+	// no division per hop.
+	xy []coord
 
 	pkts     [NumCategories]uint64
 	flits    [NumCategories]uint64
@@ -102,6 +105,10 @@ func NewBW(eng *sim.Engine, w, h, flitBytes, linkBW, linkLat, routerLat int) *Me
 	if flitBytes <= 0 || linkBW <= 0 {
 		panic("noc: flitBytes and linkBW must be positive")
 	}
+	xy := make([]coord, w*h)
+	for n := range xy {
+		xy[n] = coord{x: int32(n % w), y: int32(n / w)}
+	}
 	return &Mesh{
 		eng:       eng,
 		w:         w,
@@ -111,8 +118,12 @@ func NewBW(eng *sim.Engine, w, h, flitBytes, linkBW, linkLat, routerLat int) *Me
 		linkLat:   sim.Time(linkLat),
 		routerLat: sim.Time(routerLat),
 		linkFree:  make([][numDirs]sim.Time, w*h),
+		xy:        xy,
 	}
 }
+
+// coord is a node's mesh position.
+type coord struct{ x, y int32 }
 
 // occupancy returns the cycles a packet of flits holds one link.
 func (m *Mesh) occupancy(flits int) sim.Time {
@@ -133,9 +144,8 @@ func (m *Mesh) Flits(n int) int {
 
 // Hops returns the XY-routing hop count between two nodes.
 func (m *Mesh) Hops(src, dst int) int {
-	sx, sy := src%m.w, src/m.w
-	dx, dy := dst%m.w, dst/m.w
-	return abs(sx-dx) + abs(sy-dy)
+	s, d := m.xy[src], m.xy[dst]
+	return abs(int(s.x-d.x)) + abs(int(s.y-d.y))
 }
 
 func abs(v int) int {
@@ -248,16 +258,15 @@ func (m *Mesh) SendCont(src, dst, bytes int, cat Category, deliver sim.Cont) {
 // xyNext returns the neighbour on the XY route toward dst and the link
 // direction used to reach it.
 func (m *Mesh) xyNext(cur, dst int) (int, direction) {
-	cx, cy := cur%m.w, cur/m.w
-	dx, dy := dst%m.w, dst/m.w
+	c, d := m.xy[cur], m.xy[dst]
 	switch {
-	case cx < dx:
+	case c.x < d.x:
 		return cur + 1, east
-	case cx > dx:
+	case c.x > d.x:
 		return cur - 1, west
-	case cy < dy:
+	case c.y < d.y:
 		return cur + m.w, south
-	case cy > dy:
+	case c.y > d.y:
 		return cur - m.w, north
 	default:
 		panic("noc: xyNext called with cur == dst")

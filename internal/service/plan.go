@@ -95,10 +95,11 @@ type PlanEvent struct {
 // local bounded queue — and returns the job to wait on. Sweeps and plans
 // both produce their work through here.
 func (s *Server) startJob(ctx context.Context, sp system.Spec, fanout bool) *job {
-	if res, ok := s.cache.Get(sp); ok {
-		return doneJob(sp, res)
+	key := sp.Hash()
+	if res, ok := s.cache.GetKey(key); ok {
+		return doneJob(sp, key, res)
 	}
-	j := newJob(ctx, nil, sp)
+	j := newJob(ctx, nil, sp, key)
 	if s.cluster != nil && fanout {
 		if owner, local := s.cluster.Owner(j.key); !local {
 			go s.runRemote(ctx, owner, j)

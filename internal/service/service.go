@@ -477,10 +477,10 @@ type job struct {
 	err    error
 }
 
-func newJob(ctx context.Context, cancel context.CancelFunc, spec system.Spec) *job {
+func newJob(ctx context.Context, cancel context.CancelFunc, spec system.Spec, key string) *job {
 	return &job{
 		spec:   spec,
-		key:    spec.Hash(),
+		key:    key,
 		ctx:    ctx,
 		cancel: cancel,
 		done:   make(chan struct{}),
@@ -489,11 +489,11 @@ func newJob(ctx context.Context, cancel context.CancelFunc, spec system.Spec) *j
 }
 
 // doneJob synthesizes an already-completed job for a cache hit at submit
-// time — no queue round-trip, no worker.
-func doneJob(spec system.Spec, res system.Results) *job {
+// time — no queue round-trip, no worker. key is spec.Hash().
+func doneJob(spec system.Spec, key string, res system.Results) *job {
 	j := &job{
 		spec:   spec,
-		key:    spec.Hash(),
+		key:    key,
 		done:   make(chan struct{}),
 		status: statusDone,
 		res:    res,
@@ -875,7 +875,7 @@ func queryTimeout(r *http.Request) (time.Duration, error) {
 // A telemetry-bearing submission only takes the cache short-circuit when the
 // timeline already exists too — otherwise the run is executed (once) to
 // produce it.
-func (s *Server) submit(spec system.Spec, timeout time.Duration, tel *TelemetryOptions) (*job, error) {
+func (s *Server) submit(spec system.Spec, key string, timeout time.Duration, tel *TelemetryOptions) (*job, error) {
 	// A closing server has no workers left; accepting the job would strand
 	// a ?wait=true caller (or a fleet peer's forwarded request) forever.
 	if err := s.baseCtx.Err(); err != nil {
@@ -883,16 +883,16 @@ func (s *Server) submit(spec system.Spec, timeout time.Duration, tel *TelemetryO
 		return nil, fmt.Errorf("service: shutting down: %w", err)
 	}
 	wantTimeline := tel != nil && tel.Interval > 0
-	if res, ok := s.cache.Get(spec); ok {
+	if res, ok := s.cache.GetKey(key); ok {
 		if !wantTimeline {
-			return doneJob(spec, res), nil
+			return doneJob(spec, key, res), nil
 		}
-		if _, ok := s.timeline(spec.Hash()); ok {
-			return doneJob(spec, res), nil
+		if _, ok := s.timeline(key); ok {
+			return doneJob(spec, key, res), nil
 		}
 	}
 	s.mu.Lock()
-	if j, ok := s.runs[spec.Hash()]; ok {
+	if j, ok := s.runs[key]; ok {
 		j.mu.Lock()
 		pending := j.status == statusPending || j.status == statusRunning
 		j.mu.Unlock()
@@ -911,7 +911,7 @@ func (s *Server) submit(spec system.Spec, timeout time.Duration, tel *TelemetryO
 	} else {
 		ctx, cancel = context.WithCancel(s.baseCtx)
 	}
-	j := newJob(ctx, cancel, spec)
+	j := newJob(ctx, cancel, spec, key)
 	if wantTimeline {
 		j.tel = tel
 	}
@@ -970,12 +970,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if s.maybeForwardSubmit(w, r, specs, req) {
+	// Each Spec is hashed once here; forwarding, the cache probe and the
+	// job all reuse its key.
+	keys := make([]string, len(specs))
+	for i, sp := range specs {
+		keys[i] = sp.Hash()
+	}
+	if s.maybeForwardSubmit(w, r, keys, req) {
 		return
 	}
 	jobs := make([]*job, 0, len(specs))
-	for _, sp := range specs {
-		j, err := s.submit(sp, timeout, req.Telemetry)
+	for i, sp := range specs {
+		j, err := s.submit(sp, keys[i], timeout, req.Telemetry)
 		if err != nil {
 			// Load shed: the queue is a transient condition, so answer 429
 			// with a retry hint rather than 503 (clients and peers back off
@@ -1032,8 +1038,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // terminal here — one hop, never a loop. The owner's reply (including a
 // 429 shed) is relayed verbatim; a transport failure degrades to local
 // compute by returning false.
-func (s *Server) maybeForwardSubmit(w http.ResponseWriter, r *http.Request, specs []system.Spec, req SubmitRequest) bool {
-	if s.cluster == nil || len(specs) != 1 || req.Spec == nil {
+func (s *Server) maybeForwardSubmit(w http.ResponseWriter, r *http.Request, keys []string, req SubmitRequest) bool {
+	if s.cluster == nil || len(keys) != 1 || req.Spec == nil {
 		return false
 	}
 	if req.Telemetry != nil && req.Telemetry.Interval > 0 {
@@ -1042,7 +1048,7 @@ func (s *Server) maybeForwardSubmit(w http.ResponseWriter, r *http.Request, spec
 	if r.Header.Get(cluster.ForwardedHeader) != "" {
 		return false
 	}
-	key := specs[0].Hash()
+	key := keys[0]
 	if s.cache.Contains(key) {
 		return false // local answer is free; no point shipping the request
 	}
@@ -1103,7 +1109,7 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	// Runs that arrived via a sweep (or a previous process, through the
 	// disk tier) live only in the cache.
 	if e, ok := s.cache.EntryKey(key); ok {
-		writeJSON(w, http.StatusOK, doneJob(e.Spec, e.Res).record())
+		writeJSON(w, http.StatusOK, doneJob(e.Spec, key, e.Res).record())
 		return
 	}
 	// Fleet read-proxy: the run may live on (or have been submitted to)

@@ -336,11 +336,12 @@ func TestGetRunFromCacheOnlyKey(t *testing.T) {
 func TestCloseFinishesQueuedJobs(t *testing.T) {
 	srv := New(Options{Workers: 1, QueueDepth: 4})
 	slow := system.Spec{System: config.HybridReal, Benchmark: "CG", Scale: workloads.Small, Cores: 16}
-	if _, err := srv.submit(slow, 0, nil); err != nil {
+	if _, err := srv.submit(slow, slow.Hash(), 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	waitForBusyWorker(t, srv)
-	queued, err := srv.submit(tinySpec("EP", config.CacheBased), 0, nil)
+	ep := tinySpec("EP", config.CacheBased)
+	queued, err := srv.submit(ep, ep.Hash(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,14 @@
 //
 // Internally the queue is a two-level bucket (calendar) queue. Events within
 // the near horizon — the next 2^horizonBits cycles — land in a ring of
-// per-cycle FIFO slabs, so the hot path (hardware latencies are tens to
-// hundreds of cycles) is an append on schedule and a cursor bump on fire:
-// no comparisons, no reheapification, no per-event allocation in steady
-// state. The rare event beyond the horizon goes to a typed overflow min-heap
-// and migrates into the ring as the window advances. See DESIGN.md §3.
+// per-cycle FIFOs, so the hot path (hardware latencies are tens to hundreds
+// of cycles) is a tail link on schedule and a head unlink on fire: no
+// comparisons, no reheapification, no per-event allocation in steady state.
+// Every FIFO threads its events through one engine-wide node pool with a
+// free list, so event storage is bounded by the peak number of pending
+// events, not by the sum of every cycle slot's own peak. The rare event
+// beyond the horizon goes to a typed overflow min-heap and migrates into the
+// ring as the window advances. See DESIGN.md §3.
 package sim
 
 import "fmt"
@@ -79,49 +82,19 @@ func eventLess(a, b event) bool {
 	return a.seq < b.seq
 }
 
-// slab is one ring bucket: the FIFO of events for a single cycle. head
-// indexes the next event to fire; the backing array is reused across
-// window laps, so steady-state scheduling allocates nothing.
-type slab struct {
-	head int
-	evs  []event
+// node is one pooled ring entry. A ring bucket holds events of a single
+// cycle, so the node needs no timestamp; seq orders the rare out-of-order
+// insert. next links the bucket's FIFO, or the free list once released.
+type node struct {
+	c    Cont
+	seq  uint64
+	next int32
 }
 
-func (s *slab) empty() bool { return s.head == len(s.evs) }
-
-// insert places ev keeping the pending tail sorted by seq. The fast path is
-// a plain append: seq grows monotonically, so live scheduling always lands
-// at the end. The ordered-insert path only runs when the overflow heap
-// drains an old (smaller-seq) event into a cycle that already has residents.
-func (s *slab) insert(ev event) {
-	if s.empty() {
-		s.head = 0
-		s.evs = s.evs[:0]
-	}
-	if n := len(s.evs); n == s.head || s.evs[n-1].seq < ev.seq {
-		s.evs = append(s.evs, ev)
-		return
-	}
-	i := s.head
-	for i < len(s.evs) && s.evs[i].seq < ev.seq {
-		i++
-	}
-	s.evs = append(s.evs, event{})
-	copy(s.evs[i+1:], s.evs[i:])
-	s.evs[i] = ev
-}
-
-// popFront removes and returns the earliest-scheduled pending event.
-func (s *slab) popFront() event {
-	ev := s.evs[s.head]
-	s.evs[s.head] = event{} // release the closure
-	s.head++
-	if s.head == len(s.evs) {
-		s.head = 0
-		s.evs = s.evs[:0]
-	}
-	return ev
-}
+// bucket is one ring slot: the FIFO of events for a single cycle, as
+// head/tail indices into the engine's node pool. Index 0 is the pool's
+// sentinel, so the zero bucket is empty.
+type bucket struct{ head, tail int32 }
 
 // Engine is the event-driven simulation core. The zero value is not usable;
 // construct with NewEngine.
@@ -129,9 +102,16 @@ type Engine struct {
 	now Time
 	seq uint64
 
-	ring      []slab  // len horizon; slot for cycle t is ring[t&ringMask]
-	ringCount int     // events currently in the ring
-	overflow  []event // min-heap by (when, seq): events beyond the horizon
+	ring      []bucket // len horizon; slot for cycle t is ring[t&ringMask]
+	ringCount int      // events currently in the ring
+	overflow  []event  // min-heap by (when, seq): events beyond the horizon
+
+	// nodes is the pool every ring bucket links through; nodes[0] is the
+	// sentinel. free heads the LIFO list of released nodes (0 = none),
+	// so the pool only grows when more events are pending than ever
+	// before.
+	nodes []node
+	free  int32
 
 	// scanHint is a cycle such that no pending ring event is earlier;
 	// the fire-path scan starts here instead of at now, making the scan
@@ -144,7 +124,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine at cycle 0.
 func NewEngine() *Engine {
-	return &Engine{ring: make([]slab, horizon)}
+	return &Engine{ring: make([]bucket, horizon), nodes: make([]node, 1, 256)}
 }
 
 // Now reports the current simulated cycle.
@@ -200,17 +180,63 @@ func (e *Engine) AtCont(t Time, c Cont) {
 	e.pushOverflow(ev)
 }
 
+// pushRing links ev into its cycle's bucket, keeping the bucket sorted by
+// seq. The fast path is a tail link: seq grows monotonically, so live
+// scheduling always lands at the end. The ordered insert only runs when the
+// overflow heap drains an old (smaller-seq) event into a cycle that already
+// has residents.
 func (e *Engine) pushRing(ev event) {
-	e.ring[ev.when&ringMask].insert(ev)
+	n := e.free
+	if n != 0 {
+		e.free = e.nodes[n].next
+		e.nodes[n] = node{c: ev.c, seq: ev.seq}
+	} else {
+		n = int32(len(e.nodes))
+		e.nodes = append(e.nodes, node{c: ev.c, seq: ev.seq})
+	}
+	b := &e.ring[ev.when&ringMask]
+	switch {
+	case b.head == 0:
+		b.head, b.tail = n, n
+	case e.nodes[b.tail].seq < ev.seq:
+		e.nodes[b.tail].next = n
+		b.tail = n
+	case ev.seq < e.nodes[b.head].seq:
+		e.nodes[n].next = b.head
+		b.head = n
+	default:
+		p := b.head
+		for e.nodes[e.nodes[p].next].seq < ev.seq {
+			p = e.nodes[p].next
+		}
+		e.nodes[n].next = e.nodes[p].next
+		e.nodes[p].next = n
+	}
 	e.ringCount++
 	if ev.when < e.scanHint {
 		e.scanHint = ev.when
 	}
 }
 
+// popRing unlinks the earliest-scheduled event of bucket b, returns its
+// node to the free list and hands back its continuation.
+func (e *Engine) popRing(b *bucket) Cont {
+	n := b.head
+	nd := &e.nodes[n]
+	c := nd.c
+	b.head = nd.next
+	if b.head == 0 {
+		b.tail = 0
+	}
+	*nd = node{next: e.free} // release the closure
+	e.free = n
+	e.ringCount--
+	return c
+}
+
 // drainTo migrates overflow events with when < limit into the ring. Events
-// drain in (when, seq) order; slab.insert restores FIFO position ahead of
-// any younger residents scheduled after the window already covered their
+// drain in (when, seq) order; pushRing restores FIFO position ahead of any
+// younger residents scheduled after the window already covered their
 // cycle.
 func (e *Engine) drainTo(limit Time) {
 	for len(e.overflow) > 0 && e.overflow[0].when < limit {
@@ -232,7 +258,7 @@ func (e *Engine) Step() bool {
 		// so the window [now, now+horizon) covers it. Nothing can fire
 		// in between — the ring is empty and overflow holds nothing
 		// earlier. Keeping now as the window base preserves the
-		// invariant that every ring event's cycle maps to a unique slab.
+		// invariant that every ring event's cycle maps to a unique bucket.
 		if t := e.overflow[0].when; t > e.now {
 			e.now = t
 		}
@@ -242,15 +268,14 @@ func (e *Engine) Step() bool {
 	if s < e.now {
 		s = e.now
 	}
-	for e.ring[s&ringMask].empty() {
+	for e.ring[s&ringMask].head == 0 {
 		s++
 	}
 	e.scanHint = s
-	ev := e.ring[s&ringMask].popFront()
-	e.ringCount--
+	c := e.popRing(&e.ring[s&ringMask])
 	e.now = s
 	e.fired++
-	ev.c.Fire()
+	c.Fire()
 	return true
 }
 
@@ -265,7 +290,7 @@ func (e *Engine) nextTime() (Time, bool) {
 		if s < e.now {
 			s = e.now
 		}
-		for e.ring[s&ringMask].empty() {
+		for e.ring[s&ringMask].head == 0 {
 			s++
 		}
 		e.scanHint = s

@@ -342,12 +342,12 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 
 // BenchmarkEngineSteadyState measures the per-event cost with a warm engine:
 // a self-sustaining event cascade like the hardware models generate. This is
-// the number the bucket queue optimizes — slab arrays are reused, so the
+// the number the bucket queue optimizes — pooled nodes are reused, so the
 // steady state allocates nothing per event.
 func BenchmarkEngineSteadyState(b *testing.B) {
 	e := NewEngine()
 	fn := func() {}
-	// Warm the slabs once.
+	// Warm the node pool once.
 	for j := 0; j < 64; j++ {
 		e.Schedule(Time(j%7), fn)
 	}

@@ -7,7 +7,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/config"
 	"repro/internal/telemetry"
@@ -96,6 +98,12 @@ func (s Spec) resolved() config.Overrides {
 // diff and ok=false; Validate rejects such Specs before they can run or
 // mint a cache identity.
 func (s Spec) ParamDiff() ([]workloads.ParamValue, bool) {
+	if strings.TrimSpace(s.Params) == "" {
+		// Every parameter at its default: the diff is empty for any
+		// known workload.
+		_, ok := workloads.Lookup(s.Benchmark)
+		return nil, ok
+	}
 	p, err := workloads.ParseParams(s.Params)
 	if err != nil {
 		return nil, false
@@ -153,7 +161,7 @@ func (s Spec) workloadLabel() string {
 // value can suppress such an adjustment — so only the final machine says
 // whether two Specs name the same run.
 func (s Spec) KnobDiff() []config.KnobValue {
-	return config.ConfigDiff(s.Config(), config.ForSystem(s.System))
+	return config.ConfigDiff(s.Config(), *systemDefault(s.System))
 }
 
 // Key is a stable, human-readable identity for the run — usable as a map
@@ -192,23 +200,67 @@ func (s Spec) Key() string {
 // the field set bumps the prefix and old cache entries simply miss (v1 and
 // v2 entries now do exactly that — v3 added the workload-parameter lines).
 func (s Spec) Hash() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "hybridsim-spec-v3\nsystem=%s\nbenchmark=%s\nscale=%s\nseed=%x\nmaxevents=%d\n",
-		s.System, s.Benchmark, s.Scale, s.seed(), s.MaxEvents)
+	var buf [512]byte
+	b := append(buf[:0], "hybridsim-spec-v3\nsystem="...)
+	b = append(b, s.System.String()...)
+	b = append(b, "\nbenchmark="...)
+	b = append(b, s.Benchmark...)
+	b = append(b, "\nscale="...)
+	b = append(b, s.Scale.String()...)
+	b = append(b, "\nseed="...)
+	b = strconv.AppendUint(b, s.seed(), 16)
+	b = append(b, "\nmaxevents="...)
+	b = strconv.AppendUint(b, s.MaxEvents, 10)
+	b = append(b, '\n')
 	if diff, ok := s.ParamDiff(); ok {
 		for _, pv := range diff {
-			fmt.Fprintf(&b, "wparam %s=%d\n", pv.Name, pv.Value)
+			b = append(b, "wparam "...)
+			b = append(b, pv.Name...)
+			b = append(b, '=')
+			b = strconv.AppendInt(b, int64(pv.Value), 10)
+			b = append(b, '\n')
 		}
 	} else {
 		// Unvalidatable params cannot run, but the digest must still be
 		// total and deterministic for error paths that label by Hash.
-		fmt.Fprintf(&b, "wparam!=%s\n", s.Params)
+		b = append(b, "wparam!="...)
+		b = append(b, s.Params...)
+		b = append(b, '\n')
 	}
-	for _, kv := range s.KnobDiff() {
-		fmt.Fprintf(&b, "knob %s=%d\n", kv.Name, kv.Value)
+	m, def := scratchPool.Get().(*configScratch), systemDefault(s.System)
+	s.materialize(m)
+	for _, k := range config.Knobs() {
+		if v := *k.Field(&m.cfg); v != *k.Field(def) {
+			b = append(b, "knob "...)
+			b = append(b, k.Name...)
+			b = append(b, '=')
+			b = strconv.AppendInt(b, int64(v), 10)
+			b = append(b, '\n')
+		}
 	}
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:])
+	scratchPool.Put(m)
+	sum := sha256.Sum256(b)
+	var digest [2 * sha256.Size]byte
+	hex.Encode(digest[:], sum[:])
+	return string(digest[:])
+}
+
+// systemDefaults holds config.ForSystem of every known system, built once:
+// every identity computation diffs against one of them.
+var systemDefaults = [...]config.Config{
+	config.CacheBased:  config.ForSystem(config.CacheBased),
+	config.HybridIdeal: config.ForSystem(config.HybridIdeal),
+	config.HybridReal:  config.ForSystem(config.HybridReal),
+}
+
+// systemDefault returns the Table 1 machine for sys. Callers must not
+// mutate it.
+func systemDefault(sys config.MemorySystem) *config.Config {
+	if sys >= 0 && int(sys) < len(systemDefaults) {
+		return &systemDefaults[sys]
+	}
+	def := config.ForSystem(sys)
+	return &def
 }
 
 // specJSON is the wire form of a Spec. Overrides travels as a pointer so an
@@ -290,14 +342,29 @@ func (s *Spec) UnmarshalJSON(b []byte) error {
 // controllers and FilterDir re-dimensioned exactly as the legacy shrink
 // path did, so legacy and Overrides spellings build identical machines.
 func (s Spec) Config() config.Config {
-	def := config.ForSystem(s.System)
-	cfg := def
-	ov := s.resolved()
-	ov.Apply(&cfg)
-	if ov.Cores > 0 && ov.Cores != def.Cores {
-		cfg = applyShrink(cfg, ov)
+	var m configScratch
+	s.materialize(&m)
+	return m.cfg
+}
+
+// configScratch is the space Config materializes into. The knob accessors
+// make both fields escape, so Hash recycles scratches through scratchPool
+// instead of allocating one per call.
+type configScratch struct {
+	cfg config.Config
+	ov  config.Overrides
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(configScratch) }}
+
+func (s Spec) materialize(m *configScratch) {
+	def := systemDefault(s.System)
+	m.cfg = *def
+	m.ov = s.resolved()
+	m.ov.Apply(&m.cfg)
+	if m.ov.Cores > 0 && m.ov.Cores != def.Cores {
+		applyShrink(&m.cfg, &m.ov)
 	}
-	return cfg
 }
 
 // Validate reports whether the Spec names a buildable run.

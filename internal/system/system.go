@@ -194,25 +194,31 @@ func Build(cfg config.Config, bench *compiler.Benchmark, seed uint64) (*Machine,
 
 	programs := make([]isa.Program, cfg.Cores)
 	for c := 0; c < cfg.Cores; c++ {
-		opt := compiler.GenOptions{
-			Cores:         cfg.Cores,
-			Core:          c,
-			Hybrid:        cfg.HasSPM(),
-			SPMSize:       cfg.SPMSize,
-			SPMDirEntries: cfg.SPMDirEntries,
-			StackBase:     stackBase(c),
-			Seed:          seed,
-		}
-		if cfg.HasSPM() {
-			opt.SPMBase = m.AMap.AddrFor(c, 0)
-		}
-		programs[c] = compiler.Generate(bench, opt)
+		programs[c] = compiler.Generate(bench, genOptions(cfg, m.AMap, c, seed))
 	}
 	m.Cluster = cpu.NewCluster(eng, cfg, m, programs)
 	if m.Protocol != nil {
 		m.Protocol.SetRecheckHook(m.Cluster.RecheckHook())
 	}
 	return m, nil
+}
+
+// genOptions is the code-generation input for core c of the machine cfg
+// describes; amap is unused on the cache-based machine.
+func genOptions(cfg config.Config, amap spm.AddressMap, c int, seed uint64) compiler.GenOptions {
+	opt := compiler.GenOptions{
+		Cores:         cfg.Cores,
+		Core:          c,
+		Hybrid:        cfg.HasSPM(),
+		SPMSize:       cfg.SPMSize,
+		SPMDirEntries: cfg.SPMDirEntries,
+		StackBase:     stackBase(c),
+		Seed:          seed,
+	}
+	if cfg.HasSPM() {
+		opt.SPMBase = amap.AddrFor(c, 0)
+	}
+	return opt
 }
 
 // ---------------------------------------------------------------------------
@@ -495,7 +501,7 @@ func meshFor(cores int) (w, h int) {
 // single implementation behind both shrink (the legacy RunBenchmark path)
 // and Spec.Config — they must not diverge, because Spec.Hash() encodes the
 // machine this function produces.
-func applyShrink(cfg config.Config, ov config.Overrides) config.Config {
+func applyShrink(cfg *config.Config, ov *config.Overrides) {
 	if ov.MeshWidth == 0 && ov.MeshHeight == 0 {
 		cfg.MeshWidth, cfg.MeshHeight = meshFor(cfg.Cores)
 	}
@@ -505,11 +511,11 @@ func applyShrink(cfg config.Config, ov config.Overrides) config.Config {
 	if ov.FilterDirEntries == 0 && cfg.FilterDirEntries < cfg.Cores {
 		cfg.FilterDirEntries = cfg.Cores
 	}
-	return cfg
 }
 
 // shrink reconfigures the mesh for a smaller core count (tests, benches).
 func shrink(cfg config.Config, cores int) config.Config {
 	cfg.Cores = cores
-	return applyShrink(cfg, config.Overrides{})
+	applyShrink(&cfg, &config.Overrides{})
+	return cfg
 }

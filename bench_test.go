@@ -7,6 +7,7 @@ package repro
 // `go test -bench=.` output doubles as a miniature results table.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/compiler"
@@ -26,7 +27,7 @@ const (
 func run(b *testing.B, name string, sys config.MemorySystem) system.Results {
 	b.Helper()
 	spec := system.Spec{System: sys, Benchmark: name, Scale: benchScale, Cores: benchCores}
-	r, err := spec.Execute()
+	r, err := spec.ExecuteContext(context.Background())
 	if err != nil {
 		b.Fatalf("%s: %v", spec.Key(), err)
 	}
@@ -159,7 +160,7 @@ func runWorkload(b *testing.B, name, params string, sys config.MemorySystem) sys
 	b.Helper()
 	spec := system.Spec{System: sys, Benchmark: name, Params: params,
 		Scale: benchScale, Cores: benchCores}
-	r, err := spec.Execute()
+	r, err := spec.ExecuteContext(context.Background())
 	if err != nil {
 		b.Fatalf("%s: %v", spec.Key(), err)
 	}
@@ -211,7 +212,7 @@ func BenchmarkAblationFilterSize(b *testing.B) {
 			r, err := system.Spec{
 				System: config.HybridReal, Benchmark: "IS", Scale: benchScale,
 				Cores: benchCores, FilterEntries: entries,
-			}.Execute()
+			}.ExecuteContext(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}

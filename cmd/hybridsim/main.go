@@ -176,13 +176,7 @@ func main() {
 	// -analyze observes the run through the same execute path, snapshotting
 	// the raw hardware counters after completion so every advisor rule has
 	// its input. Observation only: results are bit-identical either way.
-	var r system.Results
-	var stats map[string]uint64
-	if *analyze {
-		r, stats, err = spec.ExecuteObserved(ctx, rec)
-	} else {
-		r, err = spec.ExecuteRecorded(ctx, rec)
-	}
+	r, stats, err := spec.ExecuteObserved(ctx, rec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simulation failed: %v\n", err)
 		stopProfiles()

@@ -8,15 +8,12 @@
 // singleflight falls out of routing every computation to the owner, whose
 // local rescache singleflight dedupes the rest.
 //
-// On top of the ring this package provides the peering transport the
-// service layer composes into its request paths:
-//
-//   - Fill: a hedged read of the owner's cache (GET /v1/cache/{key}) before
-//     paying for a local compute of a Spec this node does not own.
-//   - Forward: a bounded, retrying proxy of an API request to a specific
-//     peer — POST /v1/runs to the owner, sweep fan-out, read proxying.
-//   - Offer: an asynchronous back-fill (PUT /v1/cache/{key}) pushing a
-//     result this node computed while degraded back to its owner.
+// On top of the ring this package provides the one peering verb the service
+// layer composes into its request pipeline: Forward, a bounded, retrying
+// proxy of an API request to a specific peer. The service forwards a run to
+// its owner as a POST /v1/runs?wait=true and adopts the answer into its own
+// cache, and proxies GET /v1/runs/{key} reads the same way. A node computes
+// a key it does not own only after the forward to the owner has failed.
 //
 // Liveness is health-checked, not gossiped: a background loop probes every
 // peer's /v1/healthz, and transport failures on the request paths feed the
@@ -26,7 +23,7 @@
 // everything it owned degrades to the next member, or to local compute.
 // All outbound work is bounded: per-peer forward windows with a shed-past
 // backlog, per-request retry with exponential backoff honoring Retry-After,
-// and a WaitGroup so shutdown can drain in-flight forwards and back-fills.
+// and a WaitGroup so shutdown can drain in-flight forwards.
 package cluster
 
 import (
@@ -62,9 +59,6 @@ const (
 	DefaultForwardWindow  = 32
 	DefaultRetries        = 2
 	DefaultBackoffBase    = 100 * time.Millisecond
-	DefaultHedgeDelay     = 50 * time.Millisecond
-	DefaultFillTimeout    = 2 * time.Second
-	DefaultOfferTimeout   = 5 * time.Second
 	DefaultHealthInterval = 2 * time.Second
 	DefaultHealthTimeout  = time.Second
 	DefaultDownAfter      = 3
@@ -136,17 +130,6 @@ type Options struct {
 	// Retry-After wins when longer (default DefaultBackoffBase).
 	BackoffBase time.Duration
 
-	// HedgeDelay is how long a cache fill waits on the owner before also
-	// probing the next ring member (default DefaultHedgeDelay).
-	HedgeDelay time.Duration
-
-	// FillTimeout bounds one whole hedged fill (default DefaultFillTimeout).
-	FillTimeout time.Duration
-
-	// OfferTimeout bounds one asynchronous back-fill (default
-	// DefaultOfferTimeout).
-	OfferTimeout time.Duration
-
 	// HealthInterval paces the background liveness probes; 0 means
 	// DefaultHealthInterval, negative disables the loop (tests drive
 	// PollOnce directly).
@@ -190,16 +173,13 @@ type Cluster struct {
 	sleep func(time.Duration)
 
 	closed atomic.Bool
-	wg     sync.WaitGroup // in-flight outbound work (forwards, fills, offers)
+	wg     sync.WaitGroup // in-flight forwards
 	stop   context.CancelFunc
 	done   chan struct{}
 
 	reg       *metrics.Registry
 	forwards  *metrics.CounterVec // by peer, outcome (ok|error|saturated)
-	fills     *metrics.CounterVec // by peer, outcome (hit|miss|error)
-	offers    *metrics.CounterVec // by peer, outcome (ok|error)
-	hedges    *metrics.CounterVec // by peer (the hedge target)
-	sheds     *metrics.CounterVec // by reason (forward-backlog|offer-window)
+	sheds     *metrics.CounterVec // by reason (forward-backlog)
 	peerState *metrics.GaugeVec   // by peer: 2 alive, 1 suspect, 0 down
 }
 
@@ -225,15 +205,6 @@ func New(opt Options) (*Cluster, error) {
 	}
 	if opt.BackoffBase <= 0 {
 		opt.BackoffBase = DefaultBackoffBase
-	}
-	if opt.HedgeDelay <= 0 {
-		opt.HedgeDelay = DefaultHedgeDelay
-	}
-	if opt.FillTimeout <= 0 {
-		opt.FillTimeout = DefaultFillTimeout
-	}
-	if opt.OfferTimeout <= 0 {
-		opt.OfferTimeout = DefaultOfferTimeout
 	}
 	if opt.HealthInterval == 0 {
 		opt.HealthInterval = DefaultHealthInterval
@@ -310,12 +281,6 @@ func (c *Cluster) initMetrics() {
 		map[string]string{"self": c.self, "members": strconv.Itoa(len(c.order) + 1)})
 	c.forwards = r.CounterVec("hybridsimd_cluster_forwards_total",
 		"Requests forwarded to a peer, by peer and outcome.", "peer", "outcome")
-	c.fills = r.CounterVec("hybridsimd_cluster_fills_total",
-		"Peer cache-fill probes, by peer and outcome.", "peer", "outcome")
-	c.offers = r.CounterVec("hybridsimd_cluster_offers_total",
-		"Result back-fills pushed to owners, by peer and outcome.", "peer", "outcome")
-	c.hedges = r.CounterVec("hybridsimd_cluster_hedges_total",
-		"Cache fills that hedged to a second member, by hedge target.", "peer")
 	c.sheds = r.CounterVec("hybridsimd_cluster_sheds_total",
 		"Outbound work dropped by flow control, by reason.", "reason")
 	c.peerState = r.GaugeVec("hybridsimd_cluster_peer_state",
@@ -342,7 +307,7 @@ func (c *Cluster) Metrics() *metrics.Registry { return c.reg }
 func (c *Cluster) Self() string { return c.self }
 
 // Close stops the health loop and refuses new outbound work. In-flight
-// forwards and back-fills keep running; Drain waits for them.
+// forwards keep running; Drain waits for them.
 func (c *Cluster) Close() {
 	if c.closed.Swap(true) {
 		return
@@ -353,7 +318,7 @@ func (c *Cluster) Close() {
 	}
 }
 
-// Drain blocks until every in-flight forward, fill, and offer has finished,
+// Drain blocks until every in-flight forward has finished,
 // or ctx expires. The graceful-shutdown sequence is: stop the HTTP listener
 // (drains inbound, including requests peers forwarded here), Close (no new
 // outbound), Drain (flush outbound), then stop the worker pool.
@@ -394,122 +359,6 @@ func (c *Cluster) Owner(key string) (id string, local bool) {
 		}
 	}
 	return c.self, true
-}
-
-// fillCandidates is the ranked list of non-down remote members a fill may
-// probe: the owner plus one hedge target.
-func (c *Cluster) fillCandidates(key string) []*peer {
-	out := make([]*peer, 0, 2)
-	for _, id := range c.ring.ranked(key) {
-		if id == c.self {
-			// Members ranked past self would compute the key only after
-			// this node failed; they cannot have it unless ownership
-			// shifted, and the owner back-fill covers that case.
-			break
-		}
-		if p := c.peers[id]; p != nil && State(p.state.Load()) != Down {
-			out = append(out, p)
-			if len(out) == 2 {
-				break
-			}
-		}
-	}
-	return out
-}
-
-// Fill asks the key's owner for its cached entry before this node computes
-// it locally, hedging to the next ring member if the owner is slow. It
-// returns the raw entry body (the service decodes and verifies it) and
-// whether any member had it. Misses and errors are never fatal — the caller
-// just computes.
-func (c *Cluster) Fill(ctx context.Context, key string) ([]byte, bool) {
-	if c.closed.Load() {
-		return nil, false
-	}
-	cands := c.fillCandidates(key)
-	if len(cands) == 0 {
-		return nil, false
-	}
-	c.wg.Add(1)
-	defer c.wg.Done()
-	ctx, cancel := context.WithTimeout(ctx, c.opt.FillTimeout)
-	defer cancel()
-
-	type answer struct {
-		body []byte
-		hit  bool
-	}
-	answers := make(chan answer, len(cands)) // buffered: laggards never block
-	probe := func(p *peer) {
-		defer c.wg.Done()
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.url+"/v1/cache/"+key, nil)
-		if err != nil {
-			answers <- answer{}
-			return
-		}
-		req.Header.Set(ForwardedHeader, c.self)
-		resp, err := c.http.Do(req)
-		if err != nil {
-			c.fills.With(p.id, "error").Inc()
-			c.noteFailure(p, err)
-			answers <- answer{}
-			return
-		}
-		defer resp.Body.Close()
-		c.noteSuccess(p)
-		if resp.StatusCode != http.StatusOK {
-			c.fills.With(p.id, "miss").Inc()
-			answers <- answer{}
-			return
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			c.fills.With(p.id, "error").Inc()
-			answers <- answer{}
-			return
-		}
-		c.fills.With(p.id, "hit").Inc()
-		answers <- answer{body: body, hit: true}
-	}
-
-	c.wg.Add(1)
-	go probe(cands[0])
-	launched, pending := 1, 1
-	hedge := time.NewTimer(c.opt.HedgeDelay)
-	defer hedge.Stop()
-	hedgeCh := hedge.C
-	if len(cands) == 1 {
-		hedgeCh = nil
-	}
-	for pending > 0 {
-		select {
-		case a := <-answers:
-			pending--
-			if a.hit {
-				return a.body, true
-			}
-			// The probe answered without the entry; try the next candidate
-			// immediately — no point waiting out the hedge delay.
-			if launched < len(cands) {
-				c.wg.Add(1)
-				go probe(cands[launched])
-				launched++
-				pending++
-			}
-		case <-hedgeCh:
-			hedgeCh = nil
-			if launched < len(cands) {
-				c.hedges.With(cands[launched].id).Inc()
-				c.wg.Add(1)
-				go probe(cands[launched])
-				launched++
-				pending++
-			}
-		case <-ctx.Done():
-			return nil, false
-		}
-	}
-	return nil, false
 }
 
 // Forward proxies one API request to a specific peer, bounded by the peer's
@@ -579,55 +428,6 @@ func (c *Cluster) Forward(ctx context.Context, peerID, method, path string, body
 	}
 	c.forwards.With(p.id, "error").Inc()
 	return 0, nil, fmt.Errorf("cluster: forward to %s failed: %w", p.id, lastErr)
-}
-
-// Offer pushes an entry this node computed for a key it does not own back to
-// the owner's cache, asynchronously and best-effort: a full window sheds the
-// offer (the result is already cached locally; the owner can still find it
-// through its own fill path), and failures are logged, not returned.
-func (c *Cluster) Offer(key string, entry []byte) {
-	if c.closed.Load() {
-		return
-	}
-	owner, local := c.Owner(key)
-	if local {
-		return
-	}
-	p := c.peers[owner]
-	select {
-	case p.window <- struct{}{}:
-	default:
-		c.sheds.With("offer-window").Inc()
-		return
-	}
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		defer func() { <-p.window }()
-		ctx, cancel := context.WithTimeout(context.Background(), c.opt.OfferTimeout)
-		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, p.url+"/v1/cache/"+key, bytes.NewReader(entry))
-		if err != nil {
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(ForwardedHeader, c.self)
-		resp, err := c.http.Do(req)
-		if err != nil {
-			c.offers.With(p.id, "error").Inc()
-			c.noteFailure(p, err)
-			return
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		c.noteSuccess(p)
-		if resp.StatusCode/100 == 2 {
-			c.offers.With(p.id, "ok").Inc()
-		} else {
-			c.offers.With(p.id, "error").Inc()
-			c.log.Warn("cluster: back-fill rejected", "peer", p.id, "key", key, "status", resp.StatusCode)
-		}
-	}()
 }
 
 // acquire takes a forward slot on p: immediately if one is free, by waiting

@@ -47,8 +47,6 @@ func newTestCluster(t *testing.T, remotes map[string]*fakePeer, mutate func(*Opt
 		Peers:          peers,
 		HealthInterval: -1,
 		BackoffBase:    time.Millisecond,
-		HedgeDelay:     5 * time.Millisecond,
-		FillTimeout:    5 * time.Second,
 	}
 	if mutate != nil {
 		mutate(&opt)
@@ -59,19 +57,6 @@ func newTestCluster(t *testing.T, remotes map[string]*fakePeer, mutate func(*Opt
 	}
 	t.Cleanup(c.Close)
 	return c
-}
-
-// findKey returns a "key-N" whose ranked member order satisfies pred.
-func findKey(t *testing.T, c *Cluster, pred func(ranked []string) bool) string {
-	t.Helper()
-	for i := 0; i < 10000; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if pred(c.ring.ranked(k)) {
-			return k
-		}
-	}
-	t.Fatal("no key with the wanted placement in 10000 tries")
-	return ""
 }
 
 func TestNewRejectsBadMembership(t *testing.T) {
@@ -123,53 +108,6 @@ func TestOwnerSkipsDownPeers(t *testing.T) {
 	c.PollOnce(context.Background())
 	if owner, _ := c.Owner(key); owner != "b" {
 		t.Fatalf("Owner(%q) = %q after recovery, want b", key, owner)
-	}
-}
-
-// TestFillHitFromOwner: a fill returns the owner's entry body verbatim and
-// carries the forwarded marker so the owner cannot loop it back.
-func TestFillHitFromOwner(t *testing.T) {
-	b := newFakePeer(t)
-	var sawHeader atomic.Value
-	b.set(func(w http.ResponseWriter, r *http.Request) {
-		sawHeader.Store(r.Header.Get(ForwardedHeader))
-		w.Write([]byte(`{"payload":true}`))
-	})
-	c := newTestCluster(t, map[string]*fakePeer{"b": b}, nil)
-	key := findKey(t, c, func(r []string) bool { return r[0] == "b" })
-
-	body, ok := c.Fill(context.Background(), key)
-	if !ok || string(body) != `{"payload":true}` {
-		t.Fatalf("Fill = %q, %v, want the owner's body", body, ok)
-	}
-	if got, _ := sawHeader.Load().(string); got != "a" {
-		t.Fatalf("fill probe carried %s=%q, want the sender ID", ForwardedHeader, got)
-	}
-}
-
-// TestFillHedgesToNextMember: an owner that misses (404) must not end the
-// fill — the next ranked member is probed immediately and its hit wins.
-func TestFillHedgesToNextMember(t *testing.T) {
-	b, d := newFakePeer(t), newFakePeer(t)
-	miss := func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusNotFound) }
-	hit := func(w http.ResponseWriter, r *http.Request) { w.Write([]byte(`ok`)) }
-	c := newTestCluster(t, map[string]*fakePeer{"b": b, "d": d}, nil)
-
-	// Whichever remote ranks first for this key misses; the other hits. The
-	// key places both remotes ahead of self, so the fill has two candidates.
-	key := findKey(t, c, func(r []string) bool { return r[2] == "a" })
-	cands := c.fillCandidates(key)
-	if len(cands) != 2 {
-		t.Fatalf("fillCandidates = %d members, want 2", len(cands))
-	}
-	first := map[string]*fakePeer{"b": b, "d": d}[cands[0].id]
-	second := map[string]*fakePeer{"b": b, "d": d}[cands[1].id]
-	first.set(miss)
-	second.set(hit)
-
-	body, ok := c.Fill(context.Background(), key)
-	if !ok || string(body) != "ok" {
-		t.Fatalf("Fill = %q, %v, want the second member's hit", body, ok)
 	}
 }
 
@@ -267,37 +205,6 @@ func TestForwardShedsPastBacklog(t *testing.T) {
 	inflight.Wait()
 }
 
-// TestOfferBackfillReachesOwner: an offer PUTs the entry to the key's owner
-// and Drain waits for it.
-func TestOfferBackfillReachesOwner(t *testing.T) {
-	b := newFakePeer(t)
-	type put struct {
-		method, path string
-	}
-	got := make(chan put, 1)
-	b.set(func(w http.ResponseWriter, r *http.Request) {
-		got <- put{r.Method, r.URL.Path}
-		w.WriteHeader(http.StatusNoContent)
-	})
-	c := newTestCluster(t, map[string]*fakePeer{"b": b}, nil)
-	key := findKey(t, c, func(r []string) bool { return r[0] == "b" })
-
-	c.Offer(key, []byte(`{}`))
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := c.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case p := <-got:
-		if p.method != http.MethodPut || p.path != "/v1/cache/"+key {
-			t.Fatalf("offer sent %s %s, want PUT /v1/cache/%s", p.method, p.path, key)
-		}
-	default:
-		t.Fatal("owner never saw the back-fill")
-	}
-}
-
 // TestRequestPathFailuresDemotePeer: transport errors on Forward feed the
 // same liveness counter as health probes — a peer dying mid-sweep goes down
 // without waiting for the poll interval.
@@ -323,9 +230,6 @@ func TestClosedClusterRefusesWork(t *testing.T) {
 	b := newFakePeer(t)
 	c := newTestCluster(t, map[string]*fakePeer{"b": b}, nil)
 	c.Close()
-	if _, ok := c.Fill(context.Background(), "k"); ok {
-		t.Fatal("Fill succeeded on a closed cluster")
-	}
 	if _, _, err := c.Forward(context.Background(), "b", http.MethodGet, "/", nil); err == nil {
 		t.Fatal("Forward succeeded on a closed cluster")
 	}

@@ -46,8 +46,8 @@ type Stats struct {
 	// corrupt, truncated, or mis-addressed files skipped at lookup.
 	DiskErrors uint64 `json:"disk_errors"`
 
-	// PeerFills counts results adopted from fleet peers (cache fills and
-	// owner back-fills); they are neither local hits nor local misses.
+	// PeerFills counts results adopted from fleet peers (a run forwarded to
+	// its owner); they are neither local hits nor local misses.
 	PeerFills uint64 `json:"peer_fills"`
 }
 
@@ -220,9 +220,10 @@ func (c *Cache) GetOrRun(ctx context.Context, spec system.Spec, run func(context
 }
 
 // Put fills the cache with an already-executed result, both tiers. It exists
-// for callers that run a Spec outside GetOrRun (telemetry-observed runs
-// execute directly so they can attach a recorder) but still want the result
-// memoized for everyone else. The fill counts as a miss: the run happened.
+// for callers that run a Spec outside GetOrRun (a telemetry re-run of a
+// cached result, which must execute again to record its timeline) but
+// still want the result memoized for everyone else. The fill counts as a
+// miss: the run happened.
 func (c *Cache) Put(spec system.Spec, res system.Results) {
 	key := spec.Hash()
 	e := Entry{Spec: spec, Res: res}
@@ -235,8 +236,8 @@ func (c *Cache) Put(spec system.Spec, res system.Results) {
 	}
 }
 
-// FillPeer adopts a result computed elsewhere in the fleet — a peer cache
-// fill or an owner back-fill — into both tiers. Unlike Put it counts
+// FillPeer adopts a result computed elsewhere in the fleet — the answer of
+// a run forwarded to its owner — into both tiers. Unlike Put it counts
 // neither a hit nor a miss (no local lookup or Execute happened) but a
 // PeerFill, so per-node hit rates stay honest in cluster mode.
 func (c *Cache) FillPeer(spec system.Spec, res system.Results) {
@@ -252,8 +253,7 @@ func (c *Cache) FillPeer(spec system.Spec, res system.Results) {
 }
 
 // Contains reports whether key is resident in either tier without touching
-// the hit counters or promoting anything — the cheap routing probe cluster
-// mode uses to decide whether a network hop is worth anything.
+// the hit counters or promoting anything.
 func (c *Cache) Contains(key string) bool {
 	c.mu.Lock()
 	_, ok := c.entries[key]

@@ -90,43 +90,18 @@ type PlanEvent struct {
 	Error   string           `json:"error,omitempty"`
 }
 
-// startJob begins execution of one spec through the shared service path —
-// cache short-circuit, then cluster owner-routing (when fanout), then the
-// local bounded queue — and returns the job to wait on. Sweeps and plans
-// both produce their work through here.
-func (s *Server) startJob(ctx context.Context, sp system.Spec, fanout bool) *job {
-	key := sp.Hash()
-	if res, ok := s.cache.GetKey(key); ok {
-		return doneJob(sp, key, res)
-	}
-	j := newJob(ctx, nil, sp, key)
-	if s.cluster != nil && fanout {
-		if owner, local := s.cluster.Owner(j.key); !local {
-			go s.runRemote(ctx, owner, j)
-			return j
-		}
-	}
-	s.enqueueLocal(ctx, j)
-	return j
-}
-
-// serverProber adapts the service execution path to planner.Prober: each
-// probe is one job, so planner probes hit the content-addressed cache, join
+// serverProber adapts the service pipeline to planner.Prober: each probe
+// is one acquire, so planner probes hit the content-addressed cache, join
 // in-flight identical runs, and owner-route across the fleet exactly like
 // sweep runs.
 type serverProber struct {
-	s      *Server
-	fanout bool
+	s         *Server
+	forwarded bool
 }
 
 func (p serverProber) Probe(ctx context.Context, sp system.Spec) (system.Results, bool, error) {
-	j := p.s.startJob(ctx, sp, p.fanout)
-	select {
-	case <-j.done:
-	case <-ctx.Done():
-		// Queued behind ctx: the workers will drop it; wait for the record.
-		<-j.done
-	}
+	j, _ := p.s.acquire(sp, sp.Hash(), waiter{ctx: ctx, forwarded: p.forwarded})
+	<-j.done
 	rec := j.record()
 	if rec.Status != string(statusDone) || rec.Results == nil {
 		return system.Results{}, false, errors.New(rec.Error)
@@ -144,10 +119,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody))
-	dec.DisallowUnknownFields()
 	var req PlanRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad plan body: %w", err))
 		return
 	}
@@ -171,7 +144,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 
-	prober := serverProber{s: s, fanout: r.Header.Get(cluster.ForwardedHeader) == ""}
+	prober := serverProber{s: s, forwarded: r.Header.Get(cluster.ForwardedHeader) != ""}
 	emit := func(p planner.Probe) error {
 		s.planProbes.Inc()
 		if p.Cached {

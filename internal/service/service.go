@@ -33,19 +33,20 @@
 //	                         run (internal/analysis), derived on demand from
 //	                         its results, resolved config, and — when the
 //	                         run was observed — its stored timeline
-//	GET  /v1/cache/{key}     one cache entry by key (fleet peer fills)
-//	PUT  /v1/cache/{key}     adopt a peer-computed entry (owner back-fill)
 //	GET  /v1/cluster         fleet membership, ring state, ?key= ownership
 //	GET  /v1/healthz         liveness plus queue depth and build version
 //	GET  /v1/stats           cache hit rate, queue, and run counters
 //	GET  /metrics            Prometheus text exposition (internal/metrics)
 //
-// Submissions flow through a bounded job queue drained by a fixed pool of
-// worker goroutines, each of which executes via rescache.GetOrRun — so a
-// Spec the daemon has seen before costs a map lookup, and N concurrent
-// requests for the same Spec cost one simulation. Sweep jobs are bound to
-// their request's context: a client disconnect cancels queued and in-flight
-// work (system.Machine.RunContext polls the context mid-run).
+// Every endpoint that runs a Spec — POST /v1/runs, GET /v1/sweep and the
+// /v1/plan probes — goes through one pipeline (Server.acquire): the result
+// cache, then the in-flight registry, then the ring owner in fleet mode,
+// then a bounded job queue drained by a fixed pool of worker goroutines,
+// each of which executes via rescache.GetOrRun. A Spec the daemon has seen
+// before costs a map lookup, and N concurrent requests for the same Spec
+// cost one simulation. A shared run is cancelled only when its last waiter
+// leaves — a sweep or plan when its request ends, a POST at its ?timeout —
+// and system.Machine.RunContext polls the context mid-run.
 package service
 
 import (
@@ -100,10 +101,10 @@ type Options struct {
 	Log *slog.Logger
 
 	// Cluster federates this daemon into a sweep fleet (internal/cluster):
-	// runs are owner-routed by Spec.Hash over the consistent-hash ring,
-	// non-owned specs try a peer cache fill before computing, locally
-	// computed non-owned results are offered back to their owners, and
-	// sweeps fan out across the fleet. nil means single-node operation.
+	// every run is owner-routed by Spec.Hash over the consistent-hash ring
+	// and computed here only when this node owns it or the forward to its
+	// owner failed, so sweeps and plans fan out across the fleet. nil means
+	// single-node operation.
 	Cluster *cluster.Cluster
 }
 
@@ -129,13 +130,15 @@ type Server struct {
 	cache   *rescache.Cache
 	cluster *cluster.Cluster // nil outside fleet mode
 	queue   chan *job
+	qmu     sync.Mutex
+	freed   chan struct{} // closed and replaced at every worker pickup
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
 
 	mu   sync.Mutex
-	runs map[string]*job // async-submitted runs by Spec.Hash
+	runs map[string]*job // in-flight registry by Spec.Hash (see acquire)
 
 	submitted atomic.Uint64
 	completed atomic.Uint64
@@ -186,6 +189,11 @@ func (s *Server) timeline(key string) (*telemetry.TimeSeries, bool) {
 	return ts, ok
 }
 
+func (s *Server) hasTimeline(key string) bool {
+	_, ok := s.timeline(key)
+	return ok
+}
+
 // initMetrics registers the daemon's operational metrics. Queue, worker,
 // run-counter, and cache families read live state at scrape time; the
 // histograms and sweep counters are written on the run paths.
@@ -223,7 +231,7 @@ func (s *Server) initMetrics() {
 		"Corrupt or unreadable disk-tier entries skipped at lookup.",
 		func() uint64 { return s.cache.Stats().DiskErrors })
 	r.CounterFunc("hybridsimd_cache_peer_fills_total",
-		"Results adopted from fleet peers (cache fills and owner back-fills).",
+		"Results adopted from fleet peers (runs forwarded to their owners).",
 		func() uint64 { return s.cache.Stats().PeerFills })
 	r.GaugeFunc("hybridsimd_cache_entries", "Memory-tier population.",
 		func() int64 { return int64(s.cache.Stats().Entries) })
@@ -283,6 +291,7 @@ func New(opt Options) *Server {
 		cache:       cache,
 		cluster:     opt.Cluster,
 		queue:       make(chan *job, depth),
+		freed:       make(chan struct{}),
 		baseCtx:     ctx,
 		cancel:      cancel,
 		runs:        make(map[string]*job),
@@ -308,8 +317,7 @@ func (s *Server) Close() {
 	for {
 		select {
 		case j := <-s.queue:
-			j.finish(system.Results{}, false, 0, s.baseCtx.Err())
-			s.failed.Add(1)
+			s.settle(j, system.Results{}, false, 0, s.baseCtx.Err(), "failed", 0)
 		default:
 			return
 		}
@@ -327,96 +335,288 @@ func (s *Server) worker() {
 		case <-s.baseCtx.Done():
 			return
 		case j := <-s.queue:
+			s.freeSlot()
 			s.execute(j)
 		}
 	}
 }
 
-// execute runs one job through the cache and publishes its outcome. In
-// fleet mode a spec this node does not own first tries a peer cache fill
-// (the owner computed or collected it already), and a result this node had
-// to compute anyway — owner down, fill missed — is offered back to the
-// owner so the fleet converges on one copy per shard.
-func (s *Server) execute(j *job) {
-	// A job whose submitter vanished (sweep disconnect, deadline) is
-	// dropped here instead of burning a worker on a dead request.
-	if err := j.ctx.Err(); err != nil {
-		j.finish(system.Results{}, false, 0, err)
-		s.failed.Add(1)
-		return
+// ---------------------------------------------------------------------------
+// The request pipeline
+
+// waiter is one request's claim on a run: what it needs from the run, and
+// when it stops waiting for it.
+type waiter struct {
+	// ctx is a stream's request context (a sweep or a plan probe): the
+	// waiter leaves when it ends, and until then a queue admission waits
+	// for a slot. nil marks a POST /v1/runs waiter, which leaves at timeout
+	// (zero: never) and whose admission is shed at once on a full queue.
+	ctx     context.Context
+	timeout time.Duration
+
+	// tel, when it sets an interval, obliges the run to leave a timeline.
+	tel *TelemetryOptions
+
+	// forwarded marks a run a peer sent here as its owner: it is computed
+	// here, never forwarded again — one hop, never a loop.
+	forwarded bool
+}
+
+func (w waiter) observed() bool { return w.tel != nil && w.tel.Interval > 0 }
+
+// acquire is the one way the daemon turns a Spec into Results; key is
+// spec.Hash(). POST /v1/runs, GET /v1/sweep and the /v1/plan probes all
+// come through here, and every run passes the same stages in order:
+//
+//  1. cache: a hit is an already-done job and never touches the registry;
+//  2. in-flight registry: an identical pending run is joined, not repeated;
+//  3. owner: a run another member owns goes to it (see forward);
+//  4. admission: the job is queued (see admit);
+//  5. compute: a worker runs it through the cache (see execute).
+//
+// The job is never nil. A non-nil error is a refusal (shed or shutting
+// down), and the job is then already failed with it.
+func (s *Server) acquire(spec system.Spec, key string, w waiter) (*job, error) {
+	// A closing server has no workers left; accepting the job would strand
+	// its waiters forever.
+	if err := s.baseCtx.Err(); err != nil {
+		s.rejected.Add(1)
+		err = fmt.Errorf("service: shutting down: %w", err)
+		return endedJob(spec, key, system.Results{}, err), err
 	}
-	if j.tel != nil && j.tel.Interval > 0 {
-		s.executeRecorded(j)
-		return
+	// A telemetry request takes the cache answer only when the timeline
+	// exists too; otherwise the run is executed (once) to produce it.
+	if res, ok := s.cache.GetKey(key); ok && (!w.observed() || s.hasTimeline(key)) {
+		return endedJob(spec, key, res, nil), nil
 	}
-	t0 := time.Now()
-	remoteOwned := false
-	if s.cluster != nil && !s.cache.Contains(j.key) {
-		if _, local := s.cluster.Owner(j.key); !local {
-			remoteOwned = true
-			if e, ok := s.peerFill(j.ctx, j.key); ok {
-				s.cache.FillPeer(e.Spec, e.Res)
-				j.finish(e.Res, true, 0, nil)
-				s.finishMetrics(j, "filled", time.Since(t0), nil)
-				return
-			}
+	j, fresh := s.register(spec, key, w)
+	if !fresh {
+		return j, nil
+	}
+	if s.cluster != nil && !w.observed() && !w.forwarded {
+		if owner, local := s.cluster.Owner(key); !local {
+			go s.forward(j, owner)
+			return j, nil
 		}
 	}
-	var wall time.Duration
-	computed := false
-	res, hit, err := s.cache.GetOrRun(j.ctx, j.spec, func(ctx context.Context) (system.Results, error) {
-		computed = true
-		r := runner.RunOne(ctx, j.spec)
-		wall = r.Wall
-		return r.Res, r.Err
-	})
-	if err == nil && computed && remoteOwned {
-		s.offerToOwner(j.spec, res)
-	}
-	j.finish(res, hit, wall, err)
-	s.finishMetrics(j, outcomeOf(hit, err), time.Since(t0), err)
+	return j, s.admit(j)
 }
 
-// peerFill asks the fleet for key's cached entry and verifies the answer
-// really is the entry it claims to be (a confused peer must not poison the
-// local cache).
-func (s *Server) peerFill(ctx context.Context, key string) (rescache.Entry, bool) {
-	body, ok := s.cluster.Fill(ctx, key)
-	if !ok {
-		return rescache.Entry{}, false
+// register joins w to the registered job for key, or registers a fresh
+// one (fresh reports which). A telemetry waiter upgrades a job no worker
+// has started; one already running cannot grow a timeline, so the waiter
+// gets a fresh job that runs after it.
+func (s *Server) register(spec system.Spec, key string, w waiter) (j *job, fresh bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j, ok := s.runs[key]; ok && j.join(w) {
+		s.claim(j, w)
+		return j, false
 	}
-	var e rescache.Entry
-	if err := json.Unmarshal(body, &e); err != nil || e.Spec.Hash() != key {
-		s.log.Warn("cluster: discarding invalid peer fill", "key", key)
-		return rescache.Entry{}, false
+	s.gcRunsLocked()
+	ctx, cancel := context.WithCancel(s.baseCtx)
+	j = &job{
+		spec:   spec,
+		key:    key,
+		stream: w.ctx != nil,
+		ctx:    ctx,
+		cancel: cancel,
+		done:   make(chan struct{}),
+		status: statusPending,
 	}
-	return e, true
+	if w.observed() {
+		j.tel = w.tel
+	}
+	s.runs[key] = j
+	s.claim(j, w)
+	return j, true
 }
 
-// offerToOwner pushes a locally computed result for a non-owned key back to
-// its owner, asynchronously and best-effort.
-func (s *Server) offerToOwner(spec system.Spec, res system.Results) {
-	body, err := json.Marshal(rescache.Entry{Spec: spec, Res: res})
-	if err != nil {
+// claim counts w among j's waiters and arranges for it to leave: a stream
+// when its request ends, a POST at its timeout, or never. A job a POST has
+// claimed stays pollable in the registry after it ends. Caller holds s.mu.
+func (s *Server) claim(j *job, w waiter) {
+	j.waiters++
+	if w.ctx != nil {
+		context.AfterFunc(w.ctx, func() { s.leave(j) })
 		return
 	}
-	s.cluster.Offer(spec.Hash(), body)
+	j.polled = true
+	if w.timeout > 0 {
+		time.AfterFunc(w.timeout, func() { s.leave(j) })
+	}
 }
 
-// executeRecorded runs a telemetry-bearing job directly (outside GetOrRun, so
-// a Recorder can be attached to the machine), then back-fills the cache and
-// stores the sampled timeline under the run key.
-func (s *Server) executeRecorded(j *job) {
-	rec := telemetry.NewRecorder(j.tel.Interval, 0)
-	t0 := time.Now()
-	res, err := j.spec.ExecuteRecorded(j.ctx, rec)
-	wall := time.Since(t0)
-	if err == nil {
-		s.cache.Put(j.spec, res)
-		s.storeTimeline(j.key, rec.Series())
+// leave drops one waiter from j. The last one to go cancels the job, so a
+// shared run lives exactly as long as somebody wants it.
+func (s *Server) leave(j *job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j.waiters--; j.waiters == 0 {
+		j.cancel()
 	}
-	j.finish(res, false, wall, err)
-	s.finishMetrics(j, outcomeOf(false, err), wall, err)
+}
+
+// runsGCThreshold bounds the registry: past it, ended jobs are swept out
+// (their Results stay reachable through the cache).
+const runsGCThreshold = 4096
+
+// gcRunsLocked evicts ended jobs once the registry outgrows the threshold.
+// Caller holds s.mu.
+func (s *Server) gcRunsLocked() {
+	if len(s.runs) <= runsGCThreshold {
+		return
+	}
+	for k, j := range s.runs {
+		j.mu.Lock()
+		ended := j.status == statusDone || j.status == statusFailed
+		j.mu.Unlock()
+		if ended {
+			delete(s.runs, k)
+		}
+	}
+}
+
+// admit puts j on the queue; it is the only place a job enters it. The
+// request kind that created j picks the overload policy: a POST's job is
+// shed at once with ErrQueueFull (answered 429), a stream's job waits for a
+// worker to free a slot for as long as it has waiters.
+func (s *Server) admit(j *job) error {
+	for {
+		freed := s.slotFreed()
+		if err := j.ctx.Err(); err != nil {
+			s.settle(j, system.Results{}, false, 0, err, "failed", 0)
+			return nil
+		}
+		select {
+		case s.queue <- j:
+			s.submitted.Add(1)
+			return nil
+		default:
+		}
+		if !j.stream {
+			s.rejected.Add(1)
+			j.finish(system.Results{}, false, 0, ErrQueueFull)
+			return ErrQueueFull
+		}
+		select {
+		case <-freed:
+		case <-j.ctx.Done():
+		}
+	}
+}
+
+// slotFreed returns a channel that closes at the next worker pickup. Taken
+// before a full-queue check, it cannot miss the pickup that follows.
+func (s *Server) slotFreed() <-chan struct{} {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	return s.freed
+}
+
+// freeSlot wakes every admission waiting for a queue slot.
+func (s *Server) freeSlot() {
+	s.qmu.Lock()
+	close(s.freed)
+	s.freed = make(chan struct{})
+	s.qmu.Unlock()
+}
+
+// forward runs j on its ring owner as a forwarded POST /v1/runs?wait=true
+// and adopts the answer into the local cache, so repeats are free here too.
+// The record keeps the owner's cached flag and wall time. Any failure or
+// non-200 answer — owner down, shed after retries, a malformed reply —
+// falls back to local admission, so a run always completes with whatever
+// members remain.
+func (s *Server) forward(j *job, owner string) {
+	t0 := time.Now()
+	rec, err := s.askOwner(j, owner)
+	switch {
+	case err != nil:
+		s.log.Warn("cluster: forward failed, running locally", "peer", owner, "key", j.key, "err", err)
+	case j.observed():
+		// A telemetry waiter upgraded j while it was away: the adopted
+		// result has no timeline, so the run is redone here.
+		s.cache.FillPeer(rec.Spec, *rec.Results)
+	default:
+		s.cache.FillPeer(rec.Spec, *rec.Results)
+		wall := time.Duration(rec.WallMS * float64(time.Millisecond))
+		s.settle(j, *rec.Results, rec.Cached, wall, nil, "forwarded", time.Since(t0))
+		return
+	}
+	// A shed fails j itself, so its waiters see ErrQueueFull.
+	_ = s.admit(j)
+}
+
+// askOwner sends j to owner and returns the owner's completed record. The
+// record must be the run it claims to be: a confused peer must not poison
+// the local cache.
+func (s *Server) askOwner(j *job, owner string) (RunRecord, error) {
+	body, err := json.Marshal(SubmitRequest{Spec: &j.spec})
+	if err != nil {
+		return RunRecord{}, err
+	}
+	status, resp, err := s.cluster.Forward(j.ctx, owner, http.MethodPost, "/v1/runs?wait=true", body)
+	if err != nil {
+		return RunRecord{}, err
+	}
+	if status != http.StatusOK {
+		return RunRecord{}, fmt.Errorf("owner answered %d", status)
+	}
+	var sr SubmitResponse
+	if err := json.Unmarshal(resp, &sr); err != nil {
+		return RunRecord{}, err
+	}
+	if len(sr.Runs) != 1 || sr.Runs[0].Status != string(statusDone) ||
+		sr.Runs[0].Results == nil || sr.Runs[0].Spec.Hash() != j.key {
+		return RunRecord{}, errors.New("owner's answer is not the completed run")
+	}
+	return sr.Runs[0], nil
+}
+
+// execute is the compute stage: one worker runs one job through the cache.
+func (s *Server) execute(j *job) {
+	tel, err := j.start()
+	if err != nil {
+		// Every waiter left (sweep disconnect, deadline) before a worker
+		// was free: drop the job instead of burning a worker on it.
+		s.settle(j, system.Results{}, false, 0, err, "failed", 0)
+		return
+	}
+	t0 := time.Now()
+	res, hit, wall, err := s.compute(j.ctx, j.spec, j.key, tel)
+	s.settle(j, res, hit, wall, err, outcomeOf(hit, err), time.Since(t0))
+}
+
+// compute runs spec through rescache.GetOrRun. With telemetry, the Recorder
+// is attached inside the run function. A result that comes back from the
+// cache or from another caller's flight has no timeline, so it is re-run
+// once under the Recorder; that run counts as a miss.
+func (s *Server) compute(ctx context.Context, spec system.Spec, key string, tel *TelemetryOptions) (res system.Results, hit bool, wall time.Duration, err error) {
+	var rec *telemetry.Recorder
+	if tel != nil {
+		rec = telemetry.NewRecorder(tel.Interval, 0)
+	}
+	run := func(ctx context.Context) (system.Results, error) {
+		t0 := time.Now()
+		defer func() { wall = time.Since(t0) }()
+		if rec == nil {
+			return spec.ExecuteContext(ctx)
+		}
+		res, _, err := spec.ExecuteObserved(ctx, rec)
+		return res, err
+	}
+	res, hit, err = s.cache.GetOrRun(ctx, spec, run)
+	if rec != nil && hit && err == nil {
+		if res, err = run(ctx); err == nil {
+			s.cache.Put(spec, res)
+		}
+		hit = false
+	}
+	if rec != nil && err == nil {
+		s.storeTimeline(key, rec.Series())
+	}
+	return res, hit, wall, err
 }
 
 func outcomeOf(hit bool, err error) string {
@@ -430,21 +630,29 @@ func outcomeOf(hit bool, err error) string {
 	}
 }
 
-// finishMetrics publishes one finished job's counters, latency, and log line.
-func (s *Server) finishMetrics(j *job, outcome string, wall time.Duration, err error) {
+// settle records j's counters, latency and log line, drops it from the
+// registry unless a POST polls it, and then publishes its outcome to its
+// waiters — last, so a waiter that wakes sees the counters already moved.
+func (s *Server) settle(j *job, res system.Results, cached bool, wall time.Duration, err error, outcome string, took time.Duration) {
 	if err != nil {
 		s.failed.Add(1)
 	} else {
 		s.completed.Add(1)
 	}
-	s.runSeconds.With(outcome).Observe(wall.Seconds())
+	s.runSeconds.With(outcome).Observe(took.Seconds())
 	if err != nil {
 		s.log.Info("run finished", "key", j.key, "spec", j.spec.Key(),
-			"outcome", outcome, "wall_ms", wall.Milliseconds(), "err", err)
+			"outcome", outcome, "wall_ms", took.Milliseconds(), "err", err)
 	} else {
 		s.log.Info("run finished", "key", j.key, "spec", j.spec.Key(),
-			"outcome", outcome, "wall_ms", wall.Milliseconds())
+			"outcome", outcome, "wall_ms", took.Milliseconds())
 	}
+	s.mu.Lock()
+	if !j.polled && s.runs[j.key] == j {
+		delete(s.runs, j.key)
+	}
+	s.mu.Unlock()
+	j.finish(res, cached, wall, err)
 }
 
 // ---------------------------------------------------------------------------
@@ -459,48 +667,79 @@ const (
 	statusFailed  jobStatus = "failed"
 )
 
-// job is one queued run. done closes exactly once, when the terminal state
-// (done/failed) is published.
+// job is one run in the pipeline. done closes exactly once, when the
+// terminal state (done/failed) is published.
 type job struct {
 	spec   system.Spec
 	key    string
-	tel    *TelemetryOptions // non-nil: observe the run (see executeRecorded)
+	stream bool // created by a sweep or plan: admission waits for a slot
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{}
 
+	// Guarded by Server.mu.
+	waiters int  // claims not yet left; the last to leave cancels ctx
+	polled  bool // a POST claimed it: stays registered after it ends
+
 	mu     sync.Mutex
 	status jobStatus
+	tel    *TelemetryOptions // non-nil: record a timeline (see compute)
 	res    system.Results
 	cached bool
 	wall   time.Duration
 	err    error
 }
 
-func newJob(ctx context.Context, cancel context.CancelFunc, spec system.Spec, key string) *job {
-	return &job{
-		spec:   spec,
-		key:    key,
-		ctx:    ctx,
-		cancel: cancel,
-		done:   make(chan struct{}),
-		status: statusPending,
-	}
+// endedJob is a job that is over before it starts: a cache hit at acquire
+// time (no queue round-trip, no worker) when err is nil, else a refusal.
+func endedJob(spec system.Spec, key string, res system.Results, err error) *job {
+	j := &job{spec: spec, key: key, done: make(chan struct{})}
+	j.finish(res, err == nil, 0, err)
+	return j
 }
 
-// doneJob synthesizes an already-completed job for a cache hit at submit
-// time — no queue round-trip, no worker. key is spec.Hash().
-func doneJob(spec system.Spec, key string, res system.Results) *job {
-	j := &job{
-		spec:   spec,
-		key:    key,
-		done:   make(chan struct{}),
-		status: statusDone,
-		res:    res,
-		cached: true,
+// join reports whether w can wait on j: j has not ended, still has
+// waiters, and will produce what w needs — upgrading it to record a
+// timeline when no worker has started it yet.
+func (j *job) join(w waiter) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.ctx.Err() != nil || (j.status != statusPending && j.status != statusRunning) {
+		return false
 	}
-	close(j.done)
-	return j
+	if w.observed() && j.tel == nil {
+		if j.status != statusPending {
+			return false
+		}
+		j.tel = w.tel
+	}
+	return true
+}
+
+// observed reports whether j must leave a timeline.
+func (j *job) observed() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.tel != nil
+}
+
+// start marks j running — past this point no telemetry upgrade reaches it
+// — and returns its telemetry, or the error of a job nobody waits for.
+func (j *job) start() (*TelemetryOptions, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.ctx.Err(); err != nil {
+		return nil, err
+	}
+	j.status = statusRunning
+	return j.tel, nil
+}
+
+// shed reports whether admission refused j for a full queue.
+func (j *job) shed() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return errors.Is(j.err, ErrQueueFull)
 }
 
 func (j *job) finish(res system.Results, cached bool, wall time.Duration, err error) {
@@ -716,8 +955,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/runs/{key}/analysis", s.handleAnalysis)
 	mux.HandleFunc("GET /v1/sweep", s.handleSweep)
 	mux.HandleFunc("POST /v1/plan", s.handlePlan)
-	mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheGet)
-	mux.HandleFunc("PUT /v1/cache/{key}", s.handleCachePut)
 	mux.HandleFunc("GET /v1/cluster", s.handleCluster)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -757,8 +994,6 @@ func routeLabel(r *http.Request) string {
 		return "/v1/runs/{key}/analysis"
 	case strings.HasPrefix(p, "/v1/runs/"):
 		return "/v1/runs/{key}"
-	case strings.HasPrefix(p, "/v1/cache/"):
-		return "/v1/cache/{key}"
 	case p == "/v1/sweep", p == "/v1/plan", p == "/v1/cluster", p == "/v1/healthz", p == "/v1/stats", p == "/metrics":
 		return p
 	default:
@@ -869,87 +1104,12 @@ func queryTimeout(r *http.Request) (time.Duration, error) {
 	return d, nil
 }
 
-// submit registers (or joins) the async job for spec. Completed results
-// short-circuit to a synthetic done job; a pending job for the same hash is
-// shared, so re-POSTing a slow Spec does not duplicate work or queue slots.
-// A telemetry-bearing submission only takes the cache short-circuit when the
-// timeline already exists too — otherwise the run is executed (once) to
-// produce it.
-func (s *Server) submit(spec system.Spec, key string, timeout time.Duration, tel *TelemetryOptions) (*job, error) {
-	// A closing server has no workers left; accepting the job would strand
-	// a ?wait=true caller (or a fleet peer's forwarded request) forever.
-	if err := s.baseCtx.Err(); err != nil {
-		s.rejected.Add(1)
-		return nil, fmt.Errorf("service: shutting down: %w", err)
-	}
-	wantTimeline := tel != nil && tel.Interval > 0
-	if res, ok := s.cache.GetKey(key); ok {
-		if !wantTimeline {
-			return doneJob(spec, key, res), nil
-		}
-		if _, ok := s.timeline(key); ok {
-			return doneJob(spec, key, res), nil
-		}
-	}
-	s.mu.Lock()
-	if j, ok := s.runs[key]; ok {
-		j.mu.Lock()
-		pending := j.status == statusPending || j.status == statusRunning
-		j.mu.Unlock()
-		if pending {
-			s.mu.Unlock()
-			return j, nil
-		}
-	}
-	s.gcRunsLocked()
-	// Async jobs outlive their submitting request, so they hang off the
-	// server's context; the optional timeout is the only per-job bound.
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(s.baseCtx, timeout)
-	} else {
-		ctx, cancel = context.WithCancel(s.baseCtx)
-	}
-	j := newJob(ctx, cancel, spec, key)
-	if wantTimeline {
-		j.tel = tel
-	}
-	s.runs[j.key] = j
-	s.mu.Unlock()
-
-	select {
-	case s.queue <- j:
-		s.submitted.Add(1)
-		return j, nil
-	default:
-		s.mu.Lock()
-		delete(s.runs, j.key)
-		s.mu.Unlock()
-		cancel()
-		s.rejected.Add(1)
-		return nil, ErrQueueFull
-	}
-}
-
-// runsGCThreshold bounds the async-run registry: past it, terminal jobs are
-// swept out (their Results stay reachable through the cache).
-const runsGCThreshold = 4096
-
-// gcRunsLocked evicts finished jobs once the registry outgrows the
-// threshold. Caller holds s.mu.
-func (s *Server) gcRunsLocked() {
-	if len(s.runs) <= runsGCThreshold {
-		return
-	}
-	for k, j := range s.runs {
-		j.mu.Lock()
-		terminal := j.status == statusDone || j.status == statusFailed
-		j.mu.Unlock()
-		if terminal {
-			delete(s.runs, k)
-		}
-	}
+// decodeBody decodes a JSON request body into v under the API's rules: at
+// most MaxRequestBody bytes, and no unknown fields.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -958,10 +1118,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody))
-	dec.DisallowUnknownFields()
 	var req SubmitRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -970,24 +1128,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Each Spec is hashed once here; forwarding, the cache probe and the
-	// job all reuse its key.
-	keys := make([]string, len(specs))
-	for i, sp := range specs {
-		keys[i] = sp.Hash()
-	}
-	if s.maybeForwardSubmit(w, r, keys, req) {
-		return
-	}
+	wt := waiter{timeout: timeout, tel: req.Telemetry,
+		forwarded: r.Header.Get(cluster.ForwardedHeader) != ""}
 	jobs := make([]*job, 0, len(specs))
-	for i, sp := range specs {
-		j, err := s.submit(sp, keys[i], timeout, req.Telemetry)
+	for _, sp := range specs {
+		j, err := s.acquire(sp, sp.Hash(), wt)
 		if err != nil {
-			// Load shed: the queue is a transient condition, so answer 429
-			// with a retry hint rather than 503 (clients and peers back off
-			// and resubmit; see cluster.Forward and Client retries).
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err)
+			writeShed(w, err)
 			return
 		}
 		jobs = append(jobs, j)
@@ -1026,75 +1173,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	resp := SubmitResponse{Runs: make([]RunRecord, len(jobs))}
 	for i, j := range jobs {
 		resp.Runs[i] = j.record()
+		if j.shed() {
+			// Shed after its owner's forward fell back to this queue.
+			writeShed(w, ErrQueueFull)
+			return
+		}
 	}
 	writeJSON(w, code, resp)
 }
 
-// maybeForwardSubmit owner-routes a single-Spec submission to the ring
-// member that owns its key, so the fleet's singleflight has one home per
-// Spec. Only plain single runs forward: multi-spec and matrix bodies stay
-// local (the per-job paths route individually), telemetry is a local
-// observation request, and a request already carrying ForwardedHeader is
-// terminal here — one hop, never a loop. The owner's reply (including a
-// 429 shed) is relayed verbatim; a transport failure degrades to local
-// compute by returning false.
-func (s *Server) maybeForwardSubmit(w http.ResponseWriter, r *http.Request, keys []string, req SubmitRequest) bool {
-	if s.cluster == nil || len(keys) != 1 || req.Spec == nil {
-		return false
-	}
-	if req.Telemetry != nil && req.Telemetry.Interval > 0 {
-		return false
-	}
-	if r.Header.Get(cluster.ForwardedHeader) != "" {
-		return false
-	}
-	key := keys[0]
-	if s.cache.Contains(key) {
-		return false // local answer is free; no point shipping the request
-	}
-	owner, local := s.cluster.Owner(key)
-	if local {
-		return false
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return false
-	}
-	path := r.URL.Path
-	if r.URL.RawQuery != "" {
-		path += "?" + r.URL.RawQuery
-	}
-	status, resp, err := s.cluster.Forward(r.Context(), owner, http.MethodPost, path, body)
-	if err != nil {
-		s.log.Warn("cluster: forward failed, running locally", "peer", owner, "key", key, "err", err)
-		return false
-	}
-	if status == http.StatusOK {
-		// A waited run came back complete; adopt it so the next local
-		// request (and GET /v1/runs/{key}) is a cache hit here too.
-		s.adoptForwarded(resp, key)
-	}
-	if ra := "1"; status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", ra)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(resp)
-	return true
-}
-
-// adoptForwarded back-fills the local cache from a forwarded ?wait=true
-// submission's completed response.
-func (s *Server) adoptForwarded(resp []byte, key string) {
-	var sr SubmitResponse
-	if err := json.Unmarshal(resp, &sr); err != nil {
-		return
-	}
-	for _, rec := range sr.Runs {
-		if rec.Status == string(statusDone) && rec.Results != nil && rec.Spec.Hash() == key {
-			s.cache.FillPeer(rec.Spec, *rec.Results)
-		}
-	}
+// writeShed answers a refused submission. The queue is a transient
+// condition, so this is 429 with a retry hint rather than 503: clients and
+// peers back off and resubmit (see cluster.Forward and Client retries).
+func writeShed(w http.ResponseWriter, err error) {
+	w.Header().Set("Retry-After", "1")
+	writeError(w, http.StatusTooManyRequests, err)
 }
 
 func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
@@ -1109,7 +1202,7 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	// Runs that arrived via a sweep (or a previous process, through the
 	// disk tier) live only in the cache.
 	if e, ok := s.cache.EntryKey(key); ok {
-		writeJSON(w, http.StatusOK, doneJob(e.Spec, key, e.Res).record())
+		writeJSON(w, http.StatusOK, endedJob(e.Spec, key, e.Res, nil).record())
 		return
 	}
 	// Fleet read-proxy: the run may live on (or have been submitted to)
@@ -1205,18 +1298,21 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 
-	// Enqueue from a goroutine so a full queue backpressures the producer
+	// Acquire from a goroutine so a full queue backpressures the producer
 	// while the handler keeps streaming completed lines. The jobs channel
 	// carries input order, so the stream is deterministic no matter where
 	// (or in what order) the runs complete — in fleet mode, specs owned by
-	// a live peer fan out to it concurrently while local ones queue here,
-	// and the merged output is identical to a single node's.
-	fanout := r.Header.Get(cluster.ForwardedHeader) == ""
+	// a live peer go to it concurrently while local ones queue here, and
+	// the merged output is identical to a single node's. When the client
+	// goes (or the deadline passes), the stream leaves every job it waits
+	// on, and the jobs nobody else wants fail at once.
+	wt := waiter{ctx: ctx, forwarded: r.Header.Get(cluster.ForwardedHeader) != ""}
 	jobs := make(chan *job, len(specs))
 	go func() {
 		defer close(jobs)
 		for _, sp := range specs {
-			jobs <- s.startJob(ctx, sp, fanout)
+			j, _ := s.acquire(sp, sp.Hash(), wt)
+			jobs <- j
 		}
 	}()
 
@@ -1226,14 +1322,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var doneResults []system.Results
 	i := 0
 	for j := range jobs {
-		select {
-		case <-j.done:
-		case <-ctx.Done():
-			// The client is gone (or the deadline passed): every queued
-			// job shares ctx and will be dropped by the workers; stop
-			// streaming.
-			<-j.done
-		}
+		<-j.done
 		rec := j.record()
 		rec.Index = i
 		rec.Total = len(specs)
@@ -1261,86 +1350,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(struct {
 		Summary SweepSummary `json:"summary"`
 	}{sum})
-}
-
-// enqueueLocal puts a sweep job on the local queue, backpressuring the
-// producer; a cancelled context fails the job instead of blocking forever.
-func (s *Server) enqueueLocal(ctx context.Context, j *job) {
-	select {
-	case s.queue <- j:
-		s.submitted.Add(1)
-	case <-ctx.Done():
-		j.finish(system.Results{}, false, 0, ctx.Err())
-	}
-}
-
-// runRemote executes one sweep job on its ring owner: a forwarded
-// ?wait=true submission, adopted into the local cache on success so
-// repeats are free here too. Any failure — owner down, shed after
-// retries, timeout, malformed reply — degrades to local compute, so a
-// sweep always completes with whatever nodes remain.
-func (s *Server) runRemote(ctx context.Context, owner string, j *job) {
-	t0 := time.Now()
-	body, err := json.Marshal(SubmitRequest{Spec: &j.spec})
-	if err != nil {
-		s.enqueueLocal(ctx, j)
-		return
-	}
-	status, resp, err := s.cluster.Forward(ctx, owner, http.MethodPost, "/v1/runs?wait=true", body)
-	if err == nil && status == http.StatusOK {
-		var sr SubmitResponse
-		if jerr := json.Unmarshal(resp, &sr); jerr == nil && len(sr.Runs) == 1 {
-			rec := sr.Runs[0]
-			if rec.Status == string(statusDone) && rec.Results != nil && rec.Spec.Hash() == j.key {
-				s.cache.FillPeer(rec.Spec, *rec.Results)
-				j.finish(*rec.Results, true, 0, nil)
-				s.finishMetrics(j, "forwarded", time.Since(t0), nil)
-				return
-			}
-		}
-	}
-	if err != nil {
-		s.log.Warn("cluster: remote run failed, degrading to local",
-			"peer", owner, "key", j.key, "err", err)
-	} else {
-		s.log.Warn("cluster: remote run unusable, degrading to local",
-			"peer", owner, "key", j.key, "status", status)
-	}
-	s.enqueueLocal(ctx, j)
-}
-
-// handleCacheGet serves one cache entry by key to fleet peers — the wire
-// half of cluster.Fill. 404 means a plain miss; the caller computes.
-func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	e, ok := s.cache.EntryKey(key)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no cache entry %q", key))
-		return
-	}
-	writeJSON(w, http.StatusOK, e)
-}
-
-// handleCachePut accepts an owner back-fill from a peer that computed one
-// of this node's keys (the wire half of cluster.Offer). The entry must
-// hash to the key it claims — a mismatch is a client bug, never stored.
-func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody))
-	var e rescache.Entry
-	if err := dec.Decode(&e); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if e.Spec.Hash() != key {
-		writeError(w, http.StatusBadRequest, fmt.Errorf(
-			"entry hashes to %q, not %q", e.Spec.Hash(), key))
-		return
-	}
-	if !s.cache.Contains(key) {
-		s.cache.FillPeer(e.Spec, e.Res)
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // handleCluster reports fleet membership and ring state; ?key= additionally

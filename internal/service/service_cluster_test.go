@@ -50,7 +50,6 @@ func newFleet(t *testing.T, ids []string, opt Options) map[string]*fleetNode {
 			Peers:          members,
 			HealthInterval: -1,
 			BackoffBase:    time.Millisecond,
-			HedgeDelay:     5 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -101,9 +100,9 @@ func TestFleetComputesSpecOnce(t *testing.T) {
 	}
 }
 
-// TestFleetPeerFillAvoidsRecompute: a job landing on a non-owner's queue
-// (a specs-list body is never forwarded) fills from the owner's cache
-// instead of recomputing.
+// TestFleetPeerFillAvoidsRecompute: a list submission to a non-owner is
+// forwarded to the owner, whose cached answer is adopted (a peer fill)
+// instead of recomputed.
 func TestFleetPeerFillAvoidsRecompute(t *testing.T) {
 	fleet := newFleet(t, []string{"a", "b"}, Options{Workers: 2, QueueDepth: 16})
 	spec := tinySpec("IS", config.CacheBased)
@@ -117,8 +116,7 @@ func TestFleetPeerFillAvoidsRecompute(t *testing.T) {
 	}
 
 	// Compute on the owner, then submit the same Spec as a list to the
-	// other member: the list path executes locally, where the worker's
-	// peer fill must win.
+	// other member: it must forward and adopt the owner's cached answer.
 	if _, err := fleet[owner].client.Submit(ctx, SubmitRequest{Specs: []system.Spec{spec}}, true, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -130,10 +128,41 @@ func TestFleetPeerFillAvoidsRecompute(t *testing.T) {
 		t.Fatalf("non-owner record = %+v, want done and served from the fleet", recs)
 	}
 	if got := fleetMisses(fleet); got != 1 {
-		t.Fatalf("fleet-wide misses = %d, want 1 (peer fill, no recompute)", got)
+		t.Fatalf("fleet-wide misses = %d, want 1 (adopted, no recompute)", got)
 	}
 	if pf := fleet[other].srv.cache.Stats().PeerFills; pf != 1 {
 		t.Fatalf("non-owner PeerFills = %d, want 1", pf)
+	}
+}
+
+// TestFleetListSubmissionComputesOnOwner: a list submission of a spec the
+// other member owns is computed there, not locally — every entry point
+// routes to the owner, not only single-spec POSTs.
+func TestFleetListSubmissionComputesOnOwner(t *testing.T) {
+	fleet := newFleet(t, []string{"a", "b"}, Options{Workers: 2, QueueDepth: 16})
+	spec := tinySpec("EP", config.HybridReal)
+	owner, _ := fleet["a"].cl.Owner(spec.Hash())
+	other := "b"
+	if owner == "b" {
+		other = "a"
+	}
+
+	recs, err := fleet[other].client.Submit(context.Background(),
+		SubmitRequest{Specs: []system.Spec{spec}}, true, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Status != "done" || recs[0].Results == nil || recs[0].Cached {
+		t.Fatalf("record = %+v, want a done, freshly computed run", recs)
+	}
+	if m := fleet[owner].srv.cache.Stats().Misses; m != 1 {
+		t.Fatalf("owner misses = %d, want 1 (computed on the owner)", m)
+	}
+	if m := fleet[other].srv.cache.Stats().Misses; m != 0 {
+		t.Fatalf("non-owner misses = %d, want 0 (never computed locally)", m)
+	}
+	if pf := fleet[other].srv.cache.Stats().PeerFills; pf != 1 {
+		t.Fatalf("non-owner PeerFills = %d, want 1 (the adopted answer)", pf)
 	}
 }
 

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/system"
+	"repro/internal/workloads"
 )
 
 // TestHealthzFields pins the liveness document: status, build version, and
@@ -281,5 +283,45 @@ func TestTimelineUnknownKey404s(t *testing.T) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
 		t.Fatalf("error body = %v, %v", e, err)
+	}
+}
+
+// TestTelemetryJoiningPendingRunGetsTimeline: a telemetry request that finds
+// the same spec already queued without telemetry upgrades that pending job
+// in place — one run, and it leaves the timeline the request asked for.
+func TestTelemetryJoiningPendingRunGetsTimeline(t *testing.T) {
+	srv, client := newTestDaemon(t, Options{Workers: 1, QueueDepth: 4})
+	ctx := context.Background()
+
+	// Hold the only worker, then queue a plain run behind it.
+	slow := system.Spec{System: config.HybridReal, Benchmark: "CG", Scale: workloads.Small, Cores: 16}
+	if _, err := client.Submit(ctx, SubmitRequest{Spec: &slow}, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	waitForBusyWorker(t, srv)
+	spec := tinySpec("EP", config.CacheBased)
+	if _, err := client.Submit(ctx, SubmitRequest{Spec: &spec}, false, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	recs, err := client.Submit(ctx, SubmitRequest{
+		Spec:      &spec,
+		Telemetry: &TelemetryOptions{Interval: 64},
+	}, true, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Status != "done" {
+		t.Fatalf("telemetry records = %+v, want one done run", recs)
+	}
+	if n := srv.submitted.Load(); n != 2 {
+		t.Fatalf("submitted = %d, want 2 (the telemetry request joined the queued run)", n)
+	}
+	ts, err := client.Timeline(ctx, recs[0].Key)
+	if err != nil {
+		t.Fatalf("timeline of the joined run: %v", err)
+	}
+	if ts.Interval != 64 || len(ts.Epochs) == 0 {
+		t.Fatalf("timeline interval %d with %d epochs, want 64 and some", ts.Interval, len(ts.Epochs))
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -336,12 +338,12 @@ func TestGetRunFromCacheOnlyKey(t *testing.T) {
 func TestCloseFinishesQueuedJobs(t *testing.T) {
 	srv := New(Options{Workers: 1, QueueDepth: 4})
 	slow := system.Spec{System: config.HybridReal, Benchmark: "CG", Scale: workloads.Small, Cores: 16}
-	if _, err := srv.submit(slow, slow.Hash(), 0, nil); err != nil {
+	if _, err := srv.acquire(slow, slow.Hash(), waiter{}); err != nil {
 		t.Fatal(err)
 	}
 	waitForBusyWorker(t, srv)
 	ep := tinySpec("EP", config.CacheBased)
-	queued, err := srv.submit(ep, ep.Hash(), 0, nil)
+	queued, err := srv.acquire(ep, ep.Hash(), waiter{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,5 +355,110 @@ func TestCloseFinishesQueuedJobs(t *testing.T) {
 	}
 	if rec := queued.record(); rec.Status != "failed" {
 		t.Fatalf("queued job status = %s after Close, want failed", rec.Status)
+	}
+}
+
+// TestRunInsideSweepIsVisible: GET /v1/runs/{key} sees a run that an open
+// sweep has in flight, not only runs a POST submitted.
+func TestRunInsideSweepIsVisible(t *testing.T) {
+	_, client := newTestDaemon(t, Options{Workers: 1, QueueDepth: 4})
+	m := Matrix{Benchmarks: []string{"CG"}, Systems: []string{"hybrid"}, Scale: "small", Cores: 16}
+	specs, err := m.Specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := specs[0].Hash()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	swept := make(chan struct{})
+	go func() {
+		defer close(swept)
+		client.Sweep(ctx, m, 0, nil)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		rec, err := client.Get(context.Background(), key)
+		if err == nil {
+			if rec.Status != "pending" && rec.Status != "running" {
+				t.Fatalf("run inside the sweep has status %q, want pending or running", rec.Status)
+			}
+			break
+		}
+		if !strings.Contains(err.Error(), "404") {
+			t.Fatal(err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the sweep's run never became visible")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	<-swept
+}
+
+// TestSweepWaitsForQueueSlots: a sweep larger than the queue is never shed;
+// each run waits for a worker to free a slot.
+func TestSweepWaitsForQueueSlots(t *testing.T) {
+	srv, client := newTestDaemon(t, Options{Workers: 1, QueueDepth: 1})
+	m := Matrix{Benchmarks: []string{"EP", "IS", "CG"}, Systems: []string{"cache", "hybrid"}, Scale: "tiny", Cores: 4}
+	sum, err := client.Sweep(context.Background(), m, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Runs != 6 || sum.Failed != 0 {
+		t.Fatalf("summary = %+v, want 6 clean runs", sum)
+	}
+	if n := srv.rejected.Load(); n != 0 {
+		t.Fatalf("rejected = %d, want 0 (streams wait, they are not shed)", n)
+	}
+}
+
+// TestConcurrentWaitersShareOneRun: POSTs and sweep streams racing for the
+// same Spec share one run, whichever kind of request registered it, and
+// all get the same answer.
+func TestConcurrentWaitersShareOneRun(t *testing.T) {
+	srv, client := newTestDaemon(t, Options{Workers: 2, QueueDepth: 8})
+	m := Matrix{Benchmarks: []string{"IS"}, Systems: []string{"hybrid"}, Scale: "tiny", Cores: 4}
+	specs, err := m.Specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 8
+	var wg sync.WaitGroup
+	results := make([]system.Results, callers)
+	errs := make([]error, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				rec, err := client.Run(context.Background(), specs[0], 0)
+				if err == nil {
+					results[i] = *rec.Results
+				}
+				errs[i] = err
+				return
+			}
+			_, errs[i] = client.Sweep(context.Background(), m, 0, func(rec RunRecord) error {
+				if rec.Results == nil {
+					return errors.New(rec.Error)
+				}
+				results[i] = *rec.Results
+				return nil
+			})
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+		if results[i] != results[0] {
+			t.Fatalf("caller %d got a different answer", i)
+		}
+	}
+	if n := srv.cache.Stats().Misses; n != 1 {
+		t.Fatalf("misses = %d for %d concurrent requests of one Spec, want 1", n, callers)
 	}
 }

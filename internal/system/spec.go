@@ -407,35 +407,25 @@ func (s Spec) Validate() error {
 	return s.Config().Validate()
 }
 
-// Execute builds the machine, runs the benchmark to completion, and returns
-// the measurements. Each call wires a fresh single-threaded engine, so
-// concurrent Executes of different Specs are independent and race-free.
-func (s Spec) Execute() (Results, error) {
-	return s.ExecuteContext(context.Background())
-}
-
-// ExecuteContext is Execute with cooperative cancellation: the engine polls
-// ctx between event batches, so client disconnects and per-request deadlines
-// stop a simulation mid-run instead of burning the rest of it.
+// ExecuteContext builds the machine, runs the benchmark to completion, and
+// returns the measurements. Each call wires a fresh single-threaded engine,
+// so concurrent runs of different Specs are independent and race-free. The
+// engine polls ctx between event batches, so client disconnects and
+// per-request deadlines stop a simulation mid-run instead of burning the
+// rest of it.
 func (s Spec) ExecuteContext(ctx context.Context) (Results, error) {
-	return s.ExecuteRecorded(ctx, nil)
-}
-
-// ExecuteRecorded is ExecuteContext with an observer: rec (if non-nil) is
-// attached to the machine before the run, so it samples counters and/or
-// traces events while the benchmark executes. Telemetry never feeds back into
-// simulated behavior — Results are identical with or without rec — so it is
-// deliberately not part of the Spec (and thus not part of the cache
-// identity): it describes how to watch a run, not which run to do.
-func (s Spec) ExecuteRecorded(ctx context.Context, rec *telemetry.Recorder) (Results, error) {
-	r, _, err := s.executeOn(ctx, rec, false)
+	r, _, err := s.executeOn(ctx, nil, false)
 	return r, err
 }
 
-// ExecuteObserved is ExecuteRecorded plus a post-run counter snapshot
-// (Machine.CounterSnapshot) — the full-fidelity input the analysis rules
-// want. Like telemetry, the snapshot is pure observation: Results are
-// identical to Execute's, and nothing here touches Spec identity.
+// ExecuteObserved is ExecuteContext with observers. rec (if non-nil) is
+// attached to the machine before the run, so it samples counters and/or
+// traces events while the benchmark executes; after the run, the counters
+// are snapshotted (Machine.CounterSnapshot) — the full-fidelity input the
+// analysis rules want. Observation never feeds back into simulated
+// behavior — Results are identical to ExecuteContext's — so it is
+// deliberately not part of the Spec (and thus not part of the cache
+// identity): it describes how to watch a run, not which run to do.
 func (s Spec) ExecuteObserved(ctx context.Context, rec *telemetry.Recorder) (Results, map[string]uint64, error) {
 	return s.executeOn(ctx, rec, true)
 }

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -70,7 +71,7 @@ func TestSpecValidateRejectsUnknownBenchmark(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "LU") {
 		t.Fatalf("Validate = %v, want unknown-benchmark error", err)
 	}
-	if _, err := s.Execute(); err == nil {
+	if _, err := s.ExecuteContext(context.Background()); err == nil {
 		t.Fatal("Execute accepted an unknown benchmark")
 	}
 }
@@ -79,7 +80,7 @@ func TestSpecValidateRejectsUnknownBenchmark(t *testing.T) {
 // must reproduce the legacy convenience call exactly.
 func TestSpecExecuteMatchesRunBenchmark(t *testing.T) {
 	s := Spec{System: config.HybridIdeal, Benchmark: "EP", Scale: workloads.Tiny, Cores: 4}
-	got, err := s.Execute()
+	got, err := s.ExecuteContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestSpecExecuteMatchesRunBenchmark(t *testing.T) {
 func TestSpecMaxEventsBudget(t *testing.T) {
 	s := Spec{System: config.CacheBased, Benchmark: "EP", Scale: workloads.Tiny,
 		Cores: 4, MaxEvents: 100}
-	if _, err := s.Execute(); err == nil || !strings.Contains(err.Error(), "budget") {
+	if _, err := s.ExecuteContext(context.Background()); err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Fatalf("err = %v, want event-budget error", err)
 	}
 }

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"strings"
@@ -141,11 +142,11 @@ func TestSpecOverridesAffectResults(t *testing.T) {
 	base := Spec{System: config.CacheBased, Benchmark: "IS", Scale: workloads.Tiny, Cores: 4}
 	shrunkL1 := base
 	shrunkL1.Overrides.L1DSize = 1 << 10
-	rBase, err := base.Execute()
+	rBase, err := base.ExecuteContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rSmall, err := shrunkL1.Execute()
+	rSmall, err := shrunkL1.ExecuteContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

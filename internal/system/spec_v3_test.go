@@ -1,6 +1,7 @@
 package system
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -96,7 +97,7 @@ func TestSpecValidateParamsFromRegistry(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("Validate accepted %q on %s", s.Params, s.Benchmark)
 		}
-		if _, err := s.Execute(); err == nil {
+		if _, err := s.ExecuteContext(context.Background()); err == nil {
 			t.Errorf("Execute accepted %q on %s", s.Params, s.Benchmark)
 		}
 	}
@@ -144,13 +145,13 @@ func TestSpecParamsJSONRoundTrip(t *testing.T) {
 // measurements.
 func TestSpecParamsAffectResults(t *testing.T) {
 	base := Spec{System: config.HybridReal, Benchmark: "stream", Scale: workloads.Tiny, Cores: 4}
-	rBase, err := base.Execute()
+	rBase, err := base.ExecuteContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	wide := base
 	wide.Params = "stride=512"
-	rWide, err := wide.Execute()
+	rWide, err := wide.ExecuteContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,13 +17,13 @@ import (
 func TestRecorderResultsIdentical(t *testing.T) {
 	spec := Spec{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Cores: 4}
 
-	plain, err := spec.Execute()
+	plain, err := spec.ExecuteContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rec := telemetry.NewRecorder(64, 1<<12)
-	recorded, err := spec.ExecuteRecorded(context.Background(), rec)
+	recorded, _, err := spec.ExecuteObserved(context.Background(), rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestRecorderResultsIdentical(t *testing.T) {
 func TestRecordedRunProducesTelemetry(t *testing.T) {
 	spec := Spec{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Cores: 4}
 	rec := telemetry.NewRecorder(64, 1<<14)
-	if _, err := spec.ExecuteRecorded(context.Background(), rec); err != nil {
+	if _, _, err := spec.ExecuteObserved(context.Background(), rec); err != nil {
 		t.Fatal(err)
 	}
 
@@ -89,18 +89,18 @@ func TestRecordedRunProducesTelemetry(t *testing.T) {
 }
 
 // TestUnrecordedRunPaysNothing pins the disabled-path contract from the
-// machine's side: ExecuteRecorded(nil) is exactly ExecuteContext.
+// machine's side: ExecuteObserved(nil) is exactly ExecuteContext.
 func TestUnrecordedRunPaysNothing(t *testing.T) {
 	spec := Spec{System: config.HybridReal, Benchmark: "EP", Scale: workloads.Tiny, Cores: 4}
 	a, err := spec.ExecuteContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := spec.ExecuteRecorded(context.Background(), nil)
+	b, _, err := spec.ExecuteObserved(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("ExecuteRecorded(nil) diverged from ExecuteContext:\n%+v\n%+v", a, b)
+		t.Errorf("ExecuteObserved(nil) diverged from ExecuteContext:\n%+v\n%+v", a, b)
 	}
 }

@@ -363,7 +363,7 @@ type txn struct {
 	step    uint8
 	gated   bool // rescheduled by release: requeue at the front on conflict
 	allowE  bool
-	flag    bool // exclusive grant (fills) / requester-had-copy (GetM)
+	flag    bool // exclusive grant (fills) / requester-had-copy (GetM) / E victim (PutS)
 	write   bool
 	core    int
 	aux     int // owner / invalidation target / DRAM controller index
@@ -450,7 +450,7 @@ func (t *txn) Fire() {
 		s := h.homeOf(t.line)
 		e := s.dir.entryFor(t.line)
 		e.sharers &^= 1 << uint(t.core)
-		if e.owner == int32(t.core) {
+		if t.flag && e.owner == int32(t.core) {
 			e.owner = -1 // clean E eviction; memory/L2 already valid
 		}
 		line := t.line
@@ -692,6 +692,10 @@ func (h *Hierarchy) fillArray(l1 *l1cache, core int, line uint64, state int8, di
 		d.kind = kDirPutS
 		d.core = core
 		d.line = vline
+		// Only an E victim gives up ownership. An S victim's notice can
+		// trail the core's own upgrade GetM, and must not strip the
+		// ownership that GetM was just granted.
+		d.flag = victim.State == StateE
 		h.mesh.SendCont(core, home.node, ctrlBytes, victimCat, d)
 	}
 }

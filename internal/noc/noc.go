@@ -2,6 +2,10 @@
 // dimension-order routing, one-cycle routers and links (Table 1), packet
 // serialization into link-width flits, and per-link bandwidth contention.
 //
+// A packet reserves its whole XY route when it is injected, so links are
+// held in injection order rather than in the order packets reach them, and
+// a K-hop packet costs one engine event, its delivery (DESIGN.md §2).
+//
 // Every message carries a traffic Category so the harness can reproduce the
 // paper's Figure 10 breakdown (Ifetch / Read / Write / WB-Repl / DMA /
 // CohProt).
@@ -77,11 +81,6 @@ type Mesh struct {
 	flitHops [NumCategories]uint64
 	latency  stats.Dist
 
-	// freePkts is the free list of recycled packet nodes: steady-state
-	// traffic allocates no per-hop closures (DESIGN.md, hot-path memory
-	// discipline).
-	freePkts *packet
-
 	// tr, when set, records every injection as a telemetry event. Nil on
 	// untraced runs: one pointer check per send, nothing else.
 	tr *telemetry.Trace
@@ -155,71 +154,6 @@ func abs(v int) int {
 	return v
 }
 
-// packet is a pooled in-flight packet. One node carries the packet across
-// every hop: each scheduled event is the node itself (cur < dst route steps,
-// then delivery when cur == dst), so a K-hop packet costs zero allocations in
-// steady state — the node comes off the mesh free list and returns to it the
-// moment it delivers.
-type packet struct {
-	m        *Mesh
-	cur, dst int
-	flits    int
-	start    sim.Time
-	deliver  sim.Cont
-	next     *packet // free-list link
-}
-
-func (m *Mesh) allocPkt() *packet {
-	if p := m.freePkts; p != nil {
-		m.freePkts = p.next
-		p.next = nil
-		return p
-	}
-	return &packet{m: m}
-}
-
-// Fire advances the packet: route one more hop, or deliver if it has arrived.
-func (p *packet) Fire() {
-	if p.cur != p.dst {
-		p.step()
-		return
-	}
-	m := p.m
-	m.latency.Observe(uint64(m.eng.Now() - p.start))
-	d := p.deliver
-	p.deliver = nil
-	p.next = m.freePkts
-	m.freePkts = p
-	// The node is recycled before the continuation runs so that a deliver
-	// handler injecting a new packet reuses it immediately.
-	d.Fire()
-}
-
-// step reserves the next link along the XY route and schedules the node for
-// its arrival at the downstream router.
-func (p *packet) step() {
-	m := p.m
-	next, dir := m.xyNext(p.cur, p.dst)
-
-	// Reserve the outgoing link: the packet's tail occupies it for one
-	// cycle per flit. Queueing delay is the gap until the link frees.
-	ready := m.eng.Now()
-	if m.linkFree[p.cur][dir] > ready {
-		ready = m.linkFree[p.cur][dir]
-	}
-	m.linkFree[p.cur][dir] = ready + m.occupancy(p.flits)
-
-	depart := ready - m.eng.Now()
-	arrive := depart + m.routerLat + m.linkLat
-	if next == p.dst {
-		// Tail serialization only charged once, at the final hop;
-		// intermediate hops pipeline flits.
-		arrive += m.occupancy(p.flits) - 1
-	}
-	p.cur = next
-	m.eng.ScheduleCont(arrive, p)
-}
-
 // Send injects a packet of size bytes from src to dst and invokes deliver at
 // the destination once the head flit arrives and the tail flit has been
 // serialized. Contention is modelled by per-link bandwidth reservation: a
@@ -228,8 +162,8 @@ func (m *Mesh) Send(src, dst, bytes int, cat Category, deliver func()) {
 	m.SendCont(src, dst, bytes, cat, sim.AsCont(deliver))
 }
 
-// SendCont is Send for pooled continuations: the entire transit — queueing,
-// hops, tail serialization, delivery — runs on one recycled packet node.
+// SendCont is Send for pooled continuations. The whole route is reserved at
+// injection, so the packet costs one engine event: its delivery.
 func (m *Mesh) SendCont(src, dst, bytes int, cat Category, deliver sim.Cont) {
 	if src < 0 || src >= m.Nodes() || dst < 0 || dst >= m.Nodes() {
 		panic(fmt.Sprintf("noc: send %d->%d outside %d-node mesh", src, dst, m.Nodes()))
@@ -244,15 +178,32 @@ func (m *Mesh) SendCont(src, dst, bytes int, cat Category, deliver sim.Cont) {
 	if m.tr != nil {
 		m.tr.Add(telemetry.KNoCSend, src, 0, uint64(dst), uint64(bytes)<<4|uint64(cat))
 	}
+	now := m.eng.Now()
+	at := m.route(src, dst, flits, now)
+	m.latency.Observe(uint64(at - now))
+	m.eng.AtCont(at, deliver)
+}
 
-	p := m.allocPkt()
-	p.cur, p.dst, p.flits, p.start, p.deliver = src, dst, flits, m.eng.Now(), deliver
+// route reserves every link of the XY route from src to dst for a packet of
+// flits injected at cycle t, in injection order, and returns the cycle the
+// packet is delivered. Each link is taken at max(arrival, linkFree) and held
+// for the packet's occupancy; the head then pays one router and one link
+// traversal. Tail serialization is charged once, at the last hop:
+// intermediate hops pipeline flits. Local delivery pays the router only.
+func (m *Mesh) route(src, dst, flits int, t sim.Time) sim.Time {
 	if src == dst {
-		// Local delivery still pays the router traversal.
-		m.eng.ScheduleCont(m.routerLat, p)
-		return
+		return t + m.routerLat
 	}
-	p.step()
+	occ := m.occupancy(flits)
+	for cur := src; cur != dst; {
+		next, dir := m.xyNext(cur, dst)
+		free := &m.linkFree[cur][dir]
+		t = max(t, *free)
+		*free = t + occ
+		t += m.routerLat + m.linkLat
+		cur = next
+	}
+	return t + occ - 1
 }
 
 // xyNext returns the neighbour on the XY route toward dst and the link

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -236,5 +237,51 @@ func TestFlitHopAccountingProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOneEventPerPacket: the whole route is reserved at injection, so every
+// packet, whatever its hop count, costs the engine exactly one event.
+func TestOneEventPerPacket(t *testing.T) {
+	eng := sim.NewEngine()
+	m := New(eng, 8, 8, 16, 1, 1)
+	rnd := rand.New(rand.NewSource(7))
+	const n = 2000
+	delivered := 0
+	for i := 0; i < n; i++ {
+		src, dst := rnd.Intn(64), rnd.Intn(64)
+		m.Send(src, dst, 1+rnd.Intn(96), Category(rnd.Intn(int(NumCategories))), func() { delivered++ })
+	}
+	if got := eng.Pending(); got != n {
+		t.Fatalf("pending after %d sends = %d, want %d", n, got, n)
+	}
+	eng.Run()
+	if delivered != n {
+		t.Fatalf("delivered %d of %d packets", delivered, n)
+	}
+	if got := eng.Fired(); got != n {
+		t.Fatalf("engine fired %d events for %d packets, want one each", got, n)
+	}
+}
+
+// TestLinkHeldInInjectionOrder pins the route-reservation rule: a packet
+// holds every link of its route in the order packets were injected, not the
+// order they reach each link. A is sent first, 0 -> 2 with 4 flits, and
+// reserves link 1->2 for cycles 2-5 before it gets there. B, sent from 1 to
+// 2 at the same cycle, reaches that link first (cycle 0) but must wait
+// behind A's reservation.
+func TestLinkHeldInInjectionOrder(t *testing.T) {
+	eng, m := newMesh(t, 8, 8)
+	var a, b sim.Time
+	m.Send(0, 2, 64, Read, func() { a = eng.Now() })
+	m.Send(1, 2, 64, Read, func() { b = eng.Now() })
+	eng.Run()
+	// A: 2 hops (4 cycles) + 3 serialization. B: waits to cycle 6,
+	// then 1 hop (2 cycles) + 3 serialization.
+	if a != 7 {
+		t.Fatalf("A arrived at %d, want 7", a)
+	}
+	if b != 11 {
+		t.Fatalf("B arrived at %d, want 11 (link 1->2 held for A from injection)", b)
 	}
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // TestSubmitParamsBearingSpec pins the workload-parameter wire path: a JSON
-// body with {"params":{...}} is accepted, runs under the v3 content hash,
-// the explicit-default spelling of the same run is a cache hit, and a
+// body with {"params":{...}} is accepted, runs under the canonical content
+// hash, the explicit-default spelling of the same run is a cache hit, and a
 // distinct parameter value mints a distinct cache entry.
 func TestSubmitParamsBearingSpec(t *testing.T) {
 	_, client := newTestDaemon(t, Options{Workers: 2, QueueDepth: 8})
@@ -31,7 +31,7 @@ func TestSubmitParamsBearingSpec(t *testing.T) {
 		t.Fatalf("first run = %+v, want a fresh non-zero run", first)
 	}
 	if first.Key != wide.Hash() {
-		t.Fatalf("run keyed %s, want the canonical v3 hash %s", first.Key, wide.Hash())
+		t.Fatalf("run keyed %s, want the canonical hash %s", first.Key, wide.Hash())
 	}
 
 	// Default-param and explicit-default spellings share one address.

@@ -186,7 +186,7 @@ func (s Spec) Key() string {
 }
 
 // Hash is the canonical content address of the run: the SHA-256 (hex) of
-// the normalized fixed-order "hybridsim-spec-v3" encoding — the scenario
+// the normalized fixed-order "hybridsim-spec-v4" encoding — the scenario
 // header, one "wparam name=value" line per workload parameter that differs
 // from its registry default (in the workload's declaration order,
 // ParamDiff), then one "knob name=value" line per knob of the materialized
@@ -197,11 +197,12 @@ func (s Spec) Key() string {
 // adjustments written out by hand, or a workload parameter spelled at its
 // default — collapses to one digest, and distinct runs never share one.
 // DESIGN.md §8 documents the encoding; it is versioned, so any change to
-// the field set bumps the prefix and old cache entries simply miss (v1 and
-// v2 entries now do exactly that — v3 added the workload-parameter lines).
+// the field set or to run semantics bumps the prefix and old cache entries
+// simply miss (v3 added the workload-parameter lines; v4 marks the NoC's
+// route reservation at injection, which changed every run's timing).
 func (s Spec) Hash() string {
 	var buf [512]byte
-	b := append(buf[:0], "hybridsim-spec-v3\nsystem="...)
+	b := append(buf[:0], "hybridsim-spec-v4\nsystem="...)
 	b = append(b, s.System.String()...)
 	b = append(b, "\nbenchmark="...)
 	b = append(b, s.Benchmark...)

@@ -12,12 +12,12 @@ import (
 	"repro/internal/workloads"
 )
 
-// referenceHash is the straightforward rendering of the v3 encoding DESIGN.md
+// referenceHash is the straightforward rendering of the v4 encoding DESIGN.md
 // §8 specifies, built from the public ParamDiff and KnobDiff. Hash must
 // produce the same digest by a cheaper route.
 func referenceHash(s Spec) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "hybridsim-spec-v3\nsystem=%s\nbenchmark=%s\nscale=%s\nseed=%x\nmaxevents=%d\n",
+	fmt.Fprintf(&b, "hybridsim-spec-v4\nsystem=%s\nbenchmark=%s\nscale=%s\nseed=%x\nmaxevents=%d\n",
 		s.System, s.Benchmark, s.Scale, s.seed(), s.MaxEvents)
 	if diff, ok := s.ParamDiff(); ok {
 		for _, pv := range diff {

@@ -10,39 +10,69 @@ import (
 	"repro/internal/workloads"
 )
 
-// TestSpecHashV3Golden pins the hybridsim-spec-v3 encoding to fixed
-// digests, for NAS-default, knob-bearing and workload-param-bearing Specs.
-// If this test fails, the canonical encoding changed: every cached result
-// in every deployed rescache directory silently misses, so the change must
-// be deliberate and must bump the version prefix (DESIGN.md §8).
-func TestSpecHashV3Golden(t *testing.T) {
-	plain := Spec{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Small}
-	if got, want := plain.Hash(), "efa642c9b6ae65a93979d3266aea9ef200851f8d786d4318934c14355c5a7caf"; got != want {
-		t.Errorf("plain spec hash = %s, want %s", got, want)
-	}
-	withKnobs := plain
+// hashFixtures are the Specs whose digests the golden-hash tests pin: a
+// NAS default, one with knobs, seed and event bound, one with workload
+// params, and one with both params and a knob.
+func hashFixtures() (plain, withKnobs, withParams, both Spec) {
+	plain = Spec{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Small}
+	withKnobs = plain
 	withKnobs.Overrides.L1DSize = 65536
 	withKnobs.Overrides.FilterEntries = 16
 	withKnobs.Seed = 7
 	withKnobs.MaxEvents = 1 << 20
-	if got, want := withKnobs.Hash(), "17fe4177ec40dc748c79d9ad634c7afda683188bcd4477254f79a57527effa51"; got != want {
+	withParams = Spec{System: config.HybridReal, Benchmark: "stream", Scale: workloads.Small,
+		Params: "stride=128"}
+	both = withParams
+	both.Overrides.Cores = 8
+	return plain, withKnobs, withParams, both
+}
+
+// TestSpecHashV4Golden pins the hybridsim-spec-v4 encoding to fixed
+// digests, for NAS-default, knob-bearing and workload-param-bearing Specs.
+// If this test fails, the canonical encoding changed: every cached result
+// in every deployed rescache directory silently misses, so the change must
+// be deliberate and must bump the version prefix (DESIGN.md §8).
+func TestSpecHashV4Golden(t *testing.T) {
+	plain, withKnobs, withParams, both := hashFixtures()
+	if got, want := plain.Hash(), "db12247d3031d62deb2801626c063cade284345df7b3b711721f6672017ef36f"; got != want {
+		t.Errorf("plain spec hash = %s, want %s", got, want)
+	}
+	if got, want := withKnobs.Hash(), "7d364cbeccd0bbecaeb861ce61b3ab53f547570bdd1319f4fb9ed61f34abc323"; got != want {
 		t.Errorf("knob-bearing spec hash = %s, want %s", got, want)
 	}
-	withParams := Spec{System: config.HybridReal, Benchmark: "stream", Scale: workloads.Small,
-		Params: "stride=128"}
-	if got, want := withParams.Hash(), "e66dbd184f9be8ff609e102950d9ff5c300c759a11e7f20f586528b588394278"; got != want {
+	if got, want := withParams.Hash(), "c921a0c8db1b4066e96fca4bf404c5a3012ae78a5afb8e3dc52e2f79b2cba441"; got != want {
 		t.Errorf("param-bearing spec hash = %s, want %s", got, want)
 	}
 	if got, want := withParams.Key(), "stream:stride=128/hybrid/small"; got != want {
 		t.Errorf("param-bearing Key = %q, want %q", got, want)
 	}
-	both := withParams
-	both.Overrides.Cores = 8
-	if got, want := both.Hash(), "fc6e684e44eb1b920c7e694b80a6831601ddd248de02862ed1516e7f57b42d53"; got != want {
+	if got, want := both.Hash(), "850767c8ce37adf2ac4463b18563eff1e88605addc789000c97170e6fdc2317b"; got != want {
 		t.Errorf("param+knob spec hash = %s, want %s", got, want)
 	}
 	if got, want := both.Key(), "stream:stride=128/hybrid/small/cores=8/mesh_width=2/mesh_height=4/mem_controllers=8"; got != want {
 		t.Errorf("param+knob Key = %q, want %q", got, want)
+	}
+}
+
+// TestV3EntriesMissUnderV4 pins the v3 → v4 migration contract. v4 changed
+// no field of the encoding, only what a run computes: the NoC now reserves
+// a packet's whole route at injection. The retired hybridsim-spec-v3
+// digests must therefore not be reproduced, so every v3 cache entry, which
+// holds Results of the old model, misses instead of answering for a v4 run.
+func TestV3EntriesMissUnderV4(t *testing.T) {
+	plain, withKnobs, withParams, both := hashFixtures()
+	for _, c := range []struct {
+		spec Spec
+		v3   string
+	}{
+		{plain, "efa642c9b6ae65a93979d3266aea9ef200851f8d786d4318934c14355c5a7caf"},
+		{withKnobs, "17fe4177ec40dc748c79d9ad634c7afda683188bcd4477254f79a57527effa51"},
+		{withParams, "e66dbd184f9be8ff609e102950d9ff5c300c759a11e7f20f586528b588394278"},
+		{both, "fc6e684e44eb1b920c7e694b80a6831601ddd248de02862ed1516e7f57b42d53"},
+	} {
+		if got := c.spec.Hash(); got == c.v3 {
+			t.Errorf("%s still hashes to its v3 digest %s", c.spec.Key(), c.v3)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/compiler"
@@ -142,6 +143,48 @@ func TestCoherenceInvariantsAfterRun(t *testing.T) {
 	}
 	if err := m.Hier.CheckInvariants(); err != nil {
 		t.Fatalf("coherence invariants violated after full run: %v", err)
+	}
+}
+
+// TestPutSRaceSeeds replays the two seeds on which a stale S-eviction
+// notice once stripped a freshly granted owner (the race that
+// coherence.TestUpgradeThenEvictKeepsOwner pins at unit scale): seed
+// 1493272505 on every system, and seed 44, which tripped it only after the
+// NoC began reserving routes at injection. A failing run ends with an L1
+// line in M that its directory entry does not name as owner.
+func TestPutSRaceSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four Small-scale 16-core IS runs")
+	}
+	cases := []struct {
+		sys  config.MemorySystem
+		seed uint64
+	}{
+		{config.HybridReal, 1493272505},
+		{config.CacheBased, 1493272505},
+		{config.HybridIdeal, 1493272505},
+		{config.HybridReal, 44},
+	}
+	for _, c := range cases {
+		spec := Spec{System: c.sys, Benchmark: "IS", Scale: workloads.Small,
+			Overrides: config.Overrides{Cores: 16}, Seed: c.seed}
+		t.Run(fmt.Sprintf("%s/seed=%d", c.sys, c.seed), func(t *testing.T) {
+			t.Parallel()
+			bench, err := workloads.BuildSpec(spec.Benchmark, nil, spec.Scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := Build(spec.Config(), bench, spec.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Run(0); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Hier.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

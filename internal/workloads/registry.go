@@ -18,7 +18,7 @@ import (
 type ParamSpec struct {
 	// Name is the identifier used in "name:k=v" workload spellings,
 	// -wsweep flags, ?wsweep= query parameters, Spec JSON "params"
-	// objects, sweep CSV columns and the v3 hash encoding.
+	// objects, sweep CSV columns and the canonical hash encoding.
 	Name string
 	// Default is the value an unset parameter resolves to (at the Small
 	// scale; generators scale iteration counts down for Tiny).
@@ -31,7 +31,7 @@ type ParamSpec struct {
 }
 
 // ParamValue is one (parameter, value) pair — the element of param diffs,
-// sweep axes and the canonical v3 hash encoding.
+// sweep axes and the canonical hash encoding.
 type ParamValue struct {
 	Name  string `json:"name"`
 	Value int    `json:"value"`
@@ -50,7 +50,7 @@ type Entry struct {
 	// 7-11 enumerate exactly these.
 	NAS bool
 	// Params declares the parameter set in its canonical (encoding and
-	// column) order. Append-only per entry: reordering changes the v3
+	// column) order. Append-only per entry: reordering changes the canonical
 	// hash encoding of param-bearing Specs.
 	Params []ParamSpec
 	// Check optionally validates cross-parameter constraints after the
@@ -225,7 +225,7 @@ func ResolveParams(workload string, p map[string]int) (map[string]int, error) {
 
 // DiffParams returns, in canonical declaration order, every parameter of the
 // resolved set that differs from its default — the segments Spec.Key()
-// renders, the lines the v3 hash encodes, and the columns a sweep sink
+// renders, the lines the canonical hash encodes, and the columns a sweep sink
 // prints. Equivalent spellings (unset vs explicitly-default) produce the
 // same empty diff, so they share one cache address by construction.
 func DiffParams(workload string, p map[string]int) ([]ParamValue, error) {

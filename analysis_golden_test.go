@@ -36,15 +36,33 @@ const goldenFindingsPath = "testdata/golden_findings.txt"
 // starved four ways below its default capacity.
 func findingsSpecs(t *testing.T) []system.Spec {
 	t.Helper()
-	ov, err := config.ParseOverrides([]string{"filter_entries=4"})
+	ov, err := config.ParseOverrides([]string{"cores=4", "filter_entries=4"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return []system.Spec{
-		{System: config.CacheBased, Benchmark: "FT", Scale: workloads.Tiny, Cores: benchCores},
-		{System: config.HybridReal, Benchmark: "FT", Scale: workloads.Tiny, Cores: benchCores},
-		{System: config.HybridReal, Benchmark: "gups", Scale: workloads.Tiny, Cores: 4, Overrides: ov},
+		{System: config.CacheBased, Benchmark: "FT", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: benchCores}},
+		{System: config.HybridReal, Benchmark: "FT", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: benchCores}},
+		{System: config.HybridReal, Benchmark: "gups", Scale: workloads.Tiny, Overrides: ov},
 	}
+}
+
+// observe builds spec's machine, attaches rec when non-nil, runs it, and
+// snapshots its counters: the full-fidelity input the advisor rules want.
+func observe(t *testing.T, spec system.Spec, rec *telemetry.Recorder) (system.Results, map[string]uint64) {
+	t.Helper()
+	m, err := spec.Build()
+	if err != nil {
+		t.Fatalf("%s: %v", spec.Key(), err)
+	}
+	if rec != nil {
+		m.Attach(rec)
+	}
+	r, err := m.RunContext(context.Background(), spec.MaxEvents)
+	if err != nil {
+		t.Fatalf("%s: %v", spec.Key(), err)
+	}
+	return r, m.CounterSnapshot()
 }
 
 // TestGoldenFindings runs every advisor exhibit with full observability
@@ -55,10 +73,7 @@ func TestGoldenFindings(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	for _, spec := range findingsSpecs(t) {
-		r, stats, err := spec.ExecuteObserved(context.Background(), nil)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Key(), err)
-		}
+		r, stats := observe(t, spec, nil)
 		rep := analysis.Analyze(analysis.Input{
 			Config: spec.Config(), Results: r, Stats: stats,
 		})
@@ -96,12 +111,9 @@ func TestAnalysisHealthyRunQuiet(t *testing.T) {
 		t.Skip("runs a full exhibit")
 	}
 	spec := system.Spec{System: config.HybridReal, Benchmark: "CG",
-		Scale: workloads.Tiny, Cores: benchCores}
+		Scale: workloads.Tiny, Overrides: config.Overrides{Cores: benchCores}}
 	rec := telemetry.NewRecorder(1000, 0)
-	r, stats, err := spec.ExecuteObserved(context.Background(), rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, stats := observe(t, spec, rec)
 	series := rec.Series()
 	rep := analysis.Analyze(analysis.Input{
 		Config: spec.Config(), Results: r, Stats: stats, Series: &series,

@@ -26,7 +26,7 @@ const (
 // run executes one benchmark on one system flavor, failing b on error.
 func run(b *testing.B, name string, sys config.MemorySystem) system.Results {
 	b.Helper()
-	spec := system.Spec{System: sys, Benchmark: name, Scale: benchScale, Cores: benchCores}
+	spec := system.Spec{System: sys, Benchmark: name, Scale: benchScale, Overrides: config.Overrides{Cores: benchCores}}
 	r, err := spec.ExecuteContext(context.Background())
 	if err != nil {
 		b.Fatalf("%s: %v", spec.Key(), err)
@@ -159,7 +159,7 @@ func BenchmarkFig11Energy(b *testing.B) {
 func runWorkload(b *testing.B, name, params string, sys config.MemorySystem) system.Results {
 	b.Helper()
 	spec := system.Spec{System: sys, Benchmark: name, Params: params,
-		Scale: benchScale, Cores: benchCores}
+		Scale: benchScale, Overrides: config.Overrides{Cores: benchCores}}
 	r, err := spec.ExecuteContext(context.Background())
 	if err != nil {
 		b.Fatalf("%s: %v", spec.Key(), err)
@@ -168,12 +168,12 @@ func runWorkload(b *testing.B, name, params string, sys config.MemorySystem) sys
 }
 
 // benchSystems are the three machines every synthetic probe runs on, so the
-// BENCH_<date>.json perf trajectory covers non-NAS patterns per system.
+// benchmarks cover non-NAS patterns per system.
 var benchSystems = []config.MemorySystem{config.CacheBased, config.HybridReal, config.HybridIdeal}
 
 // BenchmarkSyntheticStream runs the streaming-triad registry workload (a
 // non-default stride=64) on every system — the bandwidth-bound synthetic
-// point of the perf trajectory.
+// point.
 func BenchmarkSyntheticStream(b *testing.B) {
 	for _, sys := range benchSystems {
 		b.Run(sys.String(), func(b *testing.B) {
@@ -188,8 +188,7 @@ func BenchmarkSyntheticStream(b *testing.B) {
 }
 
 // BenchmarkSyntheticPtrchase runs the guarded pointer-chase registry
-// workload on every system — the latency/filter-bound synthetic point of
-// the perf trajectory.
+// workload on every system — the latency/filter-bound synthetic point.
 func BenchmarkSyntheticPtrchase(b *testing.B) {
 	for _, sys := range benchSystems {
 		b.Run(sys.String(), func(b *testing.B) {
@@ -211,7 +210,7 @@ func BenchmarkAblationFilterSize(b *testing.B) {
 		for _, entries := range []int{8, 48} {
 			r, err := system.Spec{
 				System: config.HybridReal, Benchmark: "IS", Scale: benchScale,
-				Cores: benchCores, FilterEntries: entries,
+				Overrides: config.Overrides{Cores: benchCores, FilterEntries: entries},
 			}.ExecuteContext(context.Background())
 			if err != nil {
 				b.Fatal(err)

@@ -45,7 +45,7 @@ func fatalf(format string, args ...any) {
 // axes on the hybrid system — over every registered workload, or just the
 // -workload spelling when given — and prints the per-column CSV:
 // design-space exploration beyond the paper's fixed exhibits.
-func runCustomSweep(ctx context.Context, workload string, cores int, scale workloads.Scale,
+func runCustomSweep(ctx context.Context, workload string, scale workloads.Scale,
 	base config.Overrides, sweeps, wsweeps []string, opt runner.Options, outPath, outFormat string, analyze bool) {
 	axes, err := runner.ParseKnobAxes(sweeps)
 	if err != nil {
@@ -63,7 +63,6 @@ func runCustomSweep(ctx context.Context, workload string, cores int, scale workl
 		Benchmarks: benches,
 		Systems:    []config.MemorySystem{config.HybridReal},
 		Scale:      scale,
-		Cores:      cores,
 		Base:       base,
 		Knobs:      axes,
 		WParams:    waxes,
@@ -149,6 +148,9 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	if overrides.Cores == 0 {
+		overrides.Cores = *cores
+	}
 	opt := runner.Options{Workers: *workers, Progress: os.Stderr}
 	outFormat := ""
 	if *outPath != "" {
@@ -169,7 +171,7 @@ func main() {
 		if outFormat != "" && outFormat != "json" {
 			fatalf("-plan supports a json -out sink, not %q", outFormat)
 		}
-		runPlan(ctx, *planFlag, *workloadFlag, *cores, scale, overrides, sweeps, wsweeps, objectives, *budget, *pick, *outPath)
+		runPlan(ctx, *planFlag, *workloadFlag, scale, overrides, sweeps, wsweeps, objectives, *budget, *pick, *outPath)
 		return
 	}
 	if len(sweeps) > 0 || len(wsweeps) > 0 {
@@ -179,7 +181,7 @@ func main() {
 		if outFormat == "jsonl" {
 			fatalf("-sweep supports csv and json sinks, not jsonl")
 		}
-		runCustomSweep(ctx, *workloadFlag, *cores, scale, overrides, sweeps, wsweeps, opt, *outPath, outFormat, *analyze)
+		runCustomSweep(ctx, *workloadFlag, scale, overrides, sweeps, wsweeps, opt, *outPath, outFormat, *analyze)
 		return
 	}
 	if *workloadFlag != "" {
@@ -190,9 +192,7 @@ func main() {
 	if want("table1") {
 		// Materialize through Spec.Config so the printed machine matches
 		// what the exhibit runs below actually simulate.
-		report.Table1(os.Stdout, system.Spec{
-			System: config.HybridReal, Overrides: overrides, Cores: runner.CoresFlag(overrides, *cores),
-		}.Config())
+		report.Table1(os.Stdout, system.Spec{System: config.HybridReal, Overrides: overrides}.Config())
 		fmt.Println()
 	}
 	if want("table2") {
@@ -230,7 +230,6 @@ func main() {
 			Benchmarks: names,
 			Systems:    runner.AllSystems,
 			Scale:      scale,
-			Cores:      *cores,
 			Base:       overrides,
 		}.Specs()
 		if err != nil {
@@ -301,7 +300,7 @@ func main() {
 	}
 
 	if want("ablation") {
-		runAblation(ctx, *cores, scale, overrides, opt, *analyze)
+		runAblation(ctx, scale, overrides, opt, *analyze)
 	}
 
 	if *outPath != "" && len(all) > 0 {
@@ -337,7 +336,7 @@ func sinkFormat(format, path string) string {
 // no goal it asks the Fig9 filter-size question — the smallest filter on IS
 // holding the hit ratio within the analyzer's knee slack of the best — over
 // a 16-value grid an exhaustive sweep would enumerate point by point.
-func runPlan(ctx context.Context, strategy, workload string, cores int, scale workloads.Scale,
+func runPlan(ctx context.Context, strategy, workload string, scale workloads.Scale,
 	base config.Overrides, sweeps, wsweeps, objectives []string, budget int, pick, outPath string) {
 	axes, err := runner.ParseKnobAxes(sweeps)
 	if err != nil {
@@ -371,7 +370,6 @@ func runPlan(ctx context.Context, strategy, workload string, cores int, scale wo
 			Benchmarks: []string{bench},
 			Systems:    []config.MemorySystem{config.HybridReal},
 			Scale:      scale,
-			Cores:      cores,
 			Base:       base,
 			Knobs:      axes,
 			WParams:    waxes,
@@ -411,13 +409,12 @@ func runPlan(ctx context.Context, strategy, workload string, cores int, scale wo
 // runAblation sweeps the filter size on IS (the most filter-sensitive
 // benchmark) — the design-choice study DESIGN.md calls Ablation A. It is
 // the fixed-axis special case of the -sweep machinery.
-func runAblation(ctx context.Context, cores int, scale workloads.Scale, base config.Overrides, opt runner.Options, analyze bool) {
+func runAblation(ctx context.Context, scale workloads.Scale, base config.Overrides, opt runner.Options, analyze bool) {
 	sizes := []int{8, 16, 32, 48, 64}
 	specs, err := runner.Axes{
 		Benchmarks: []string{"IS"},
 		Systems:    []config.MemorySystem{config.HybridReal},
 		Scale:      scale,
-		Cores:      cores,
 		Base:       base,
 		Knobs:      []runner.KnobAxis{{Name: "filter_entries", Values: sizes}},
 	}.Specs()

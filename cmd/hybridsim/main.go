@@ -94,17 +94,20 @@ func main() {
 		return
 	}
 
+	overrides, err := config.ParseOverrides(sets)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if overrides.Cores == 0 {
+		overrides.Cores = *cores
+	}
+
 	if *showConfig {
-		ov, err := config.ParseOverrides(sets)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 		// Materialize through Spec.Config so the printed machine carries the
 		// same derived adjustments (mesh re-dimensioning, controller cap) a
 		// real run with these flags would get.
-		spec := system.Spec{System: sys, Overrides: ov, Cores: runner.CoresFlag(ov, *cores)}
-		report.Table1(os.Stdout, spec.Config())
+		report.Table1(os.Stdout, system.Spec{System: sys, Overrides: overrides}.Config())
 		return
 	}
 
@@ -113,12 +116,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	overrides, err := config.ParseOverrides(sets)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	*cores = runner.CoresFlag(overrides, *cores)
 
 	// -workload carries an optional parameter payload; a bare -bench is the
 	// parameterless spelling of the same thing.
@@ -148,7 +145,7 @@ func main() {
 			os.Exit(2)
 		}
 		runSweep(ctx, sys, workloads.FormatWorkload(bench, params), scale,
-			*cores, *maxEvents, overrides, sweeps, wsweeps, *workers, *analyze)
+			*maxEvents, overrides, sweeps, wsweeps, *workers, *analyze)
 		return
 	}
 
@@ -158,7 +155,6 @@ func main() {
 		Params:    workloads.FormatParams(bench, params),
 		Scale:     scale,
 		Overrides: overrides,
-		Cores:     *cores,
 		MaxEvents: *maxEvents,
 	}
 
@@ -173,10 +169,14 @@ func main() {
 		}
 		rec = telemetry.NewRecorder(*interval, events)
 	}
-	// -analyze observes the run through the same execute path, snapshotting
-	// the raw hardware counters after completion so every advisor rule has
-	// its input. Observation only: results are bit-identical either way.
-	r, stats, err := spec.ExecuteObserved(ctx, rec)
+	var r system.Results
+	m, err := spec.Build()
+	if err == nil {
+		if rec != nil {
+			m.Attach(rec)
+		}
+		r, err = m.RunContext(ctx, spec.MaxEvents)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simulation failed: %v\n", err)
 		stopProfiles()
@@ -196,7 +196,9 @@ func main() {
 		if !*analyze {
 			return
 		}
-		in := analysis.Input{Config: spec.Config(), Results: r, Stats: stats}
+		// The raw hardware counters give every advisor rule its input.
+		// Observation only: results are bit-identical either way.
+		in := analysis.Input{Config: spec.Config(), Results: r, Stats: m.CounterSnapshot()}
 		if rec != nil && rec.Interval() > 0 {
 			ts := rec.Series()
 			in.Series = &ts
@@ -362,7 +364,7 @@ func startProfiles(cpuPath, memPath string) func() {
 // over the selected workload and system and prints the per-column CSV
 // (report.SweepCSV).
 func runSweep(ctx context.Context, sys config.MemorySystem, workload string, scale workloads.Scale,
-	cores int, maxEvents uint64, base config.Overrides, sweeps, wsweeps []string, workers int, analyze bool) {
+	maxEvents uint64, base config.Overrides, sweeps, wsweeps []string, workers int, analyze bool) {
 	axes, err := runner.ParseKnobAxes(sweeps)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -377,7 +379,6 @@ func runSweep(ctx context.Context, sys config.MemorySystem, workload string, sca
 		Benchmarks: []string{workload},
 		Systems:    []config.MemorySystem{sys},
 		Scale:      scale,
-		Cores:      cores,
 		MaxEvents:  maxEvents,
 		Base:       base,
 		Knobs:      axes,

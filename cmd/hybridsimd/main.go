@@ -272,6 +272,9 @@ func runClient(base, benchName, workloadFlag, sysName, scaleName string, cores i
 	if err != nil {
 		fatalf("%v", err)
 	}
+	if overrides.Cores == 0 {
+		overrides.Cores = cores
+	}
 	// -workload overrides -bench and may carry a parameter payload.
 	spelling := benchName
 	if workloadFlag != "" {
@@ -318,7 +321,6 @@ func runClient(base, benchName, workloadFlag, sysName, scaleName string, cores i
 			Benchmark: workloads.FormatWorkload(bench, params),
 			System:    sysName,
 			Scale:     scaleName,
-			Cores:     cores,
 			Sweep:     axes, WSweep: waxes,
 			Constraint: cons,
 			Pick:       pick, Budget: budget,
@@ -351,7 +353,7 @@ func runClient(base, benchName, workloadFlag, sysName, scaleName string, cores i
 		if err != nil {
 			fatalf("%v", err)
 		}
-		m := service.Matrix{Scale: scaleName, Cores: cores, Sweep: axes, WSweep: waxes, Analyze: analyze}
+		m := service.Matrix{Scale: scaleName, Sweep: axes, WSweep: waxes, Analyze: analyze}
 		if explicit["bench"] || explicit["workload"] {
 			m.Benchmarks = []string{workloads.FormatWorkload(bench, params)}
 		}
@@ -393,8 +395,7 @@ func runClient(base, benchName, workloadFlag, sysName, scaleName string, cores i
 			fatalf("%v", err)
 		}
 		spec := system.Spec{System: sys, Benchmark: bench,
-			Params: workloads.FormatParams(bench, params), Scale: scale,
-			Cores: runner.CoresFlag(overrides, cores), Overrides: overrides}
+			Params: workloads.FormatParams(bench, params), Scale: scale, Overrides: overrides}
 		rec, err := c.Run(ctx, spec, timeout)
 		if err != nil {
 			fatalf("%v", err)

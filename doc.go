@@ -6,7 +6,8 @@
 // entry points are cmd/hybridsim, cmd/experiments, the cmd/hybridsimd
 // daemon and the examples/ mains. bench_test.go in this directory
 // regenerates every table and figure of the paper's evaluation as
-// testing.B benchmarks (scaled down); use cmd/experiments for the
+// testing.B benchmarks (scaled down), and TestPaperClaims asserts each
+// figure's conclusion on the NAS six; use cmd/experiments for the
 // full-size runs:
 //
 //	go run ./cmd/experiments -scale tiny -workers 8
@@ -15,8 +16,10 @@
 // the registry of named, parameterized generators (workloads.Entries: the
 // NAS six plus synthetic stream/stencil/ptrchase/transpose/reduce/gups)
 // and a typed config.Overrides that can retarget any machine knob by name
-// (the config.Knobs registry) — and internal/runner fans a []Spec across a
-// worker pool with byte-identical output for any worker count. runner.Axes
+// (the config.Knobs registry; the only spelling of core count and filter
+// size too) — and internal/runner fans a []Spec across a worker pool with
+// byte-identical output for any worker count. Spec.Build is the one route
+// from a Spec to a wired machine. runner.Axes
 // enumerates workload x system x knob x workload-param cross products;
 // every CLI spells it as repeatable -set / -sweep / -workload / -wsweep
 // flags:

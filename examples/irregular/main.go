@@ -59,7 +59,13 @@ func main() {
 		"system", "cycles", "packets", "energy", "filter-hit", "guarded")
 	var cacheCycles uint64
 	for _, rw := range rows {
-		r, err := system.RunBenchmark(rw.sys, bench, cores, 0)
+		// Spec.Config re-dimensions the mesh for the smaller core count.
+		cfg := system.Spec{System: rw.sys, Overrides: config.Overrides{Cores: cores}}.Config()
+		m, err := system.Build(cfg, bench, system.DefaultSeed)
+		if err != nil {
+			log.Fatal(err)
+		}
+		r, err := m.Run(0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -43,11 +43,20 @@ func main() {
 	}
 
 	// 2. Build the full Table-1 machine (64 cores) with the
-	//    hybrid memory system and the paper's coherence protocol.
-	r, err := system.RunBenchmark(config.HybridReal, bench, 64, 0)
-	if err != nil {
-		log.Fatal(err)
+	//    hybrid memory system and the paper's coherence protocol, and run
+	//    the kernel to completion.
+	run := func(sys config.MemorySystem) system.Results {
+		m, err := system.Build(config.ForSystem(sys), bench, system.DefaultSeed)
+		if err != nil {
+			log.Fatal(err)
+		}
+		r, err := m.Run(0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return r
 	}
+	r := run(config.HybridReal)
 
 	// 3. Inspect the run.
 	fmt.Printf("ran %q on a 64-core hybrid machine\n", bench.Name)
@@ -59,10 +68,7 @@ func main() {
 	fmt.Printf("  energy:            %.1f uJ\n", r.Energy.Total()/1e6)
 
 	// 4. Compare against the cache-based baseline.
-	base, err := system.RunBenchmark(config.CacheBased, bench, 64, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
+	base := run(config.CacheBased)
 	fmt.Printf("speedup over the cache-based system: %.2fx\n",
 		float64(base.Cycles)/float64(r.Cycles))
 }

@@ -69,11 +69,10 @@ func main() {
 	specs := make([]system.Spec, len(sizes))
 	for i, entries := range sizes {
 		specs[i] = system.Spec{
-			System:        config.HybridReal,
-			Benchmark:     "IS",
-			Scale:         workloads.Small,
-			Cores:         cores,
-			FilterEntries: entries,
+			System:    config.HybridReal,
+			Benchmark: "IS",
+			Scale:     workloads.Small,
+			Overrides: config.Overrides{Cores: cores, FilterEntries: entries},
 		}
 	}
 
@@ -103,6 +102,9 @@ func runAxisSweep(workers int, daemon, workload string, cores int, sets, sweeps,
 	if err != nil {
 		log.Fatal(err)
 	}
+	if base.Cores == 0 {
+		base.Cores = cores
+	}
 	axes, err := runner.ParseKnobAxes(sweeps)
 	if err != nil {
 		log.Fatal(err)
@@ -115,7 +117,6 @@ func runAxisSweep(workers int, daemon, workload string, cores int, sets, sweeps,
 		Benchmarks: []string{workload},
 		Systems:    []config.MemorySystem{config.HybridReal},
 		Scale:      workloads.Small,
-		Cores:      cores,
 		Base:       base,
 		Knobs:      axes,
 		WParams:    waxes,

@@ -37,11 +37,11 @@ const goldenPath = "testdata/golden_stats.txt"
 // serves (ptrchase hits the Fig. 5d path).
 func goldenSpecs() []system.Spec {
 	return []system.Spec{
-		{System: config.CacheBased, Benchmark: "CG", Scale: workloads.Tiny, Cores: 8},
-		{System: config.HybridIdeal, Benchmark: "CG", Scale: workloads.Tiny, Cores: 8},
-		{System: config.HybridReal, Benchmark: "CG", Scale: workloads.Tiny, Cores: 8},
-		{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Cores: 8},
-		{System: config.HybridReal, Benchmark: "ptrchase", Params: "hot_pct=50", Scale: workloads.Tiny, Cores: 8},
+		{System: config.CacheBased, Benchmark: "CG", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 8}},
+		{System: config.HybridIdeal, Benchmark: "CG", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 8}},
+		{System: config.HybridReal, Benchmark: "CG", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 8}},
+		{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 8}},
+		{System: config.HybridReal, Benchmark: "ptrchase", Params: "hot_pct=50", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 8}},
 	}
 }
 
@@ -49,15 +49,7 @@ func goldenSpecs() []system.Spec {
 // statistic deterministically.
 func dumpRun(t *testing.T, w *bytes.Buffer, spec system.Spec) {
 	t.Helper()
-	p, err := workloads.ParseParams(spec.Params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bench, err := workloads.BuildSpec(spec.Benchmark, p, spec.Scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := system.Build(spec.Config(), bench, 0xC0FFEE)
+	m, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,12 +168,12 @@ func TestSkippedAndInapplicable(t *testing.T) {
 // sweepSpec builds one synthetic sweep point overriding a single knob.
 func sweepSpec(t *testing.T, knob string, value int) system.Spec {
 	t.Helper()
-	ov, err := config.ParseOverrides([]string{fmt.Sprintf("%s=%d", knob, value)})
+	ov, err := config.ParseOverrides([]string{"cores=8", fmt.Sprintf("%s=%d", knob, value)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return system.Spec{System: config.HybridReal, Benchmark: "IS",
-		Scale: workloads.Tiny, Cores: 8, Overrides: ov}
+		Scale: workloads.Tiny, Overrides: ov}
 }
 
 // sweepRes fabricates the measurements Sweep aggregates.

@@ -104,6 +104,16 @@ func (a *Array) Peek(lineAddr uint64) *Line {
 	return nil
 }
 
+// EachValid calls fn on every valid line, in storage order, without
+// statistics or LRU side effects.
+func (a *Array) EachValid(fn func(l *Line)) {
+	for i := range a.lines {
+		if a.lines[i].Valid() {
+			fn(&a.lines[i])
+		}
+	}
+}
+
 // Insert allocates a line for lineAddr with the given state, evicting the
 // pseudoLRU victim if the set is full. It returns the new line and, when an
 // eviction occurred, the victim's metadata (its line address is victim.Tag).

@@ -1345,7 +1345,10 @@ func (h *Hierarchy) DirSharers(line uint64) uint64 {
 }
 
 // CheckInvariants validates protocol invariants against the actual L1
-// contents; tests call it after draining the engine.
+// contents; tests call it after draining the engine. It walks both sides:
+// every directory entry must match the L1s, and every L1 line in M or E
+// must be named owner by its directory entry (an entry with no owner and no
+// sharers is collected, so only the L1 walk sees an owner it lost).
 func (h *Hierarchy) CheckInvariants() error {
 	for li, s := range h.slices {
 		for i := range s.dir.slots {
@@ -1365,13 +1368,18 @@ func (h *Hierarchy) CheckInvariants() error {
 					return fmt.Errorf("line %#x: owner %d with nonempty sharers %b", line, e.owner, e.sharers)
 				}
 			}
-			for c := 0; c < h.cfg.Cores; c++ {
-				st := h.L1State(c, line)
-				if (st == StateM || st == StateE) && e.owner != int32(c) {
-					return fmt.Errorf("line %#x: core %d in state %d but dir owner %d", line, c, st, e.owner)
-				}
-			}
 		}
 	}
-	return nil
+	var err error
+	for c, l1 := range h.l1d {
+		l1.arr.EachValid(func(l *cache.Line) {
+			if err != nil || (l.State != StateM && l.State != StateE) {
+				return
+			}
+			if owner := h.DirOwner(l.Tag); owner != c {
+				err = fmt.Errorf("line %#x: core %d in state %d but dir owner %d", l.Tag, c, l.State, owner)
+			}
+		})
+	}
+	return err
 }

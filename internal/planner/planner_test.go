@@ -47,7 +47,7 @@ func filterAxes(vals []int) runner.Axes {
 	return runner.Axes{
 		Benchmarks: []string{"IS"},
 		Systems:    []config.MemorySystem{config.HybridReal},
-		Cores:      4,
+		Base:       config.Overrides{Cores: 4},
 		Knobs:      []runner.KnobAxis{{Name: "filter_entries", Values: vals}},
 	}
 }

@@ -221,7 +221,7 @@ func sweepFixtures() ([]system.Spec, []system.Results) {
 	var specs []system.Spec
 	var results []system.Results
 	for i, f := range []int{16, 32} {
-		s := system.Spec{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Cores: 4}
+		s := system.Spec{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 4}}
 		s.Overrides.FilterEntries = f
 		s.Overrides.MemLatency = 200
 		specs = append(specs, s)
@@ -308,7 +308,7 @@ func TestSweepSinksRejectLengthMismatch(t *testing.T) {
 func TestSweepCSVPerParamColumns(t *testing.T) {
 	mk := func(params string) system.Spec {
 		return system.Spec{System: config.HybridReal, Benchmark: "stream",
-			Scale: workloads.Tiny, Cores: 4, Params: params}
+			Scale: workloads.Tiny, Params: params, Overrides: config.Overrides{Cores: 4}}
 	}
 	specs := []system.Spec{mk("streams=2"), mk("stride=128,streams=2")}
 	results := make([]system.Results, len(specs))
@@ -339,8 +339,8 @@ func TestSweepCSVPerParamColumns(t *testing.T) {
 // workload parameters explicitly.
 func TestSweepJSONCarriesParams(t *testing.T) {
 	specs := []system.Spec{
-		{System: config.HybridReal, Benchmark: "stream", Scale: workloads.Tiny, Cores: 4, Params: "stride=128"},
-		{System: config.HybridReal, Benchmark: "stream", Scale: workloads.Tiny, Cores: 4},
+		{System: config.HybridReal, Benchmark: "stream", Scale: workloads.Tiny, Params: "stride=128", Overrides: config.Overrides{Cores: 4}},
+		{System: config.HybridReal, Benchmark: "stream", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 4}},
 	}
 	results := make([]system.Results, len(specs))
 	var buf strings.Builder

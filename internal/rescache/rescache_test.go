@@ -23,11 +23,10 @@ import (
 // mint arbitrarily many distinct cache keys without running anything.
 func spec(filter int) system.Spec {
 	return system.Spec{
-		System:        config.HybridReal,
-		Benchmark:     "EP",
-		Scale:         workloads.Tiny,
-		Cores:         4,
-		FilterEntries: filter,
+		System:    config.HybridReal,
+		Benchmark: "EP",
+		Scale:     workloads.Tiny,
+		Overrides: config.Overrides{Cores: 4, FilterEntries: filter},
 	}
 }
 
@@ -345,11 +344,11 @@ func TestFollowerSurvivesLeaderCancellation(t *testing.T) {
 func v1Hash(s system.Spec) string {
 	def := config.ForSystem(s.System)
 	cores, filter := def.Cores, def.FilterEntries
-	if s.Cores > 0 {
-		cores = s.Cores
+	if s.Overrides.Cores > 0 {
+		cores = s.Overrides.Cores
 	}
-	if s.FilterEntries > 0 {
-		filter = s.FilterEntries
+	if s.Overrides.FilterEntries > 0 {
+		filter = s.Overrides.FilterEntries
 	}
 	seed := s.Seed
 	if seed == 0 {

@@ -96,19 +96,6 @@ func ParseParamAxes(flags []string) ([]ParamAxis, error) {
 	return axes, nil
 }
 
-// CoresFlag resolves a -cores flag value against an explicit "cores"
-// override, which wins. This is the single spelling of the precedence rule
-// every driver needs: CLI -cores flags carry non-zero defaults, so without
-// it a user's "-set cores=N" would always trip Spec.Validate's
-// legacy-vs-override conflict check. Axes.Specs applies the same rule to
-// its Cores field.
-func CoresFlag(ov config.Overrides, flagCores int) int {
-	if ov.Cores != 0 {
-		return 0
-	}
-	return flagCores
-}
-
 // Axes declares a sweep as the cross product of its dimensions: benchmarks
 // x systems x every knob axis x every workload-parameter axis, each point
 // carrying the shared Base overrides. It generalizes the fixed benchmark x
@@ -124,17 +111,15 @@ type Axes struct {
 	Systems []config.MemorySystem
 	Scale   workloads.Scale
 
-	// Cores and Seed apply to every point (0 = default). Cores is the
-	// legacy convenience; a "cores" Base override or KnobAxis addresses
-	// the same knob and takes precedence, so "-sweep cores=4,8" works
-	// even when a driver always fills this field from its -cores flag.
-	Cores int
-	Seed  uint64
+	// Seed applies to every point (0 = default).
+	Seed uint64
 
 	// MaxEvents bounds every run (0 = unbounded).
 	MaxEvents uint64
 
-	// Base overrides are applied to every point before the axes.
+	// Base overrides are applied to every point before the axes; a knob
+	// axis overwrites its Base value ("-sweep cores=4,8" over a -cores
+	// flag folded into Base).
 	Base config.Overrides
 
 	// Knobs are the swept machine dimensions, slowest-varying first. The
@@ -162,13 +147,9 @@ func (a Axes) Specs() ([]system.Spec, error) {
 	if len(systems) == 0 {
 		systems = AllSystems
 	}
-	cores := CoresFlag(a.Base, a.Cores)
 	n := len(benches) * len(systems)
 	seen := map[string]bool{}
 	for _, ax := range a.Knobs {
-		if ax.Name == "cores" {
-			cores = 0 // the axis sweeps the knob the legacy field would pin
-		}
 		if _, ok := config.KnobByName(ax.Name); !ok {
 			return nil, fmt.Errorf("runner: unknown sweep knob %q (want one of %v)", ax.Name, config.KnobNames())
 		}
@@ -276,7 +257,6 @@ func (a Axes) Specs() ([]system.Spec, error) {
 				Benchmark: wls[i].name,
 				Scale:     a.Scale,
 				Overrides: a.Base,
-				Cores:     cores,
 				Seed:      a.Seed,
 				MaxEvents: a.MaxEvents,
 			}

@@ -17,7 +17,7 @@ func TestAxesCrossProduct(t *testing.T) {
 		Benchmarks: []string{"EP", "IS"},
 		Systems:    []config.MemorySystem{config.HybridReal},
 		Scale:      workloads.Tiny,
-		Cores:      4,
+		Base:       config.Overrides{Cores: 4},
 		Knobs: []KnobAxis{
 			{Name: "filter_entries", Values: []int{8, 16}},
 			{Name: "l1d_size", Values: []int{16 << 10, 32 << 10}},
@@ -57,7 +57,7 @@ func TestAxesCrossProduct(t *testing.T) {
 }
 
 func TestAxesBaseOverridesApplyToEveryPoint(t *testing.T) {
-	var base config.Overrides
+	base := config.Overrides{Cores: 4}
 	if err := base.Set("mem_latency", 200); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,6 @@ func TestAxesBaseOverridesApplyToEveryPoint(t *testing.T) {
 		Benchmarks: []string{"EP"},
 		Systems:    []config.MemorySystem{config.CacheBased},
 		Scale:      workloads.Tiny,
-		Cores:      4,
 		Base:       base,
 		Knobs:      []KnobAxis{{Name: "l1d_size", Values: []int{16 << 10, 32 << 10}}},
 	}
@@ -104,7 +103,7 @@ func TestMatrixIsAxesWithoutKnobs(t *testing.T) {
 	var want []system.Spec
 	for _, b := range []string{"EP", "IS"} {
 		for _, sys := range AllSystems {
-			want = append(want, system.Spec{System: sys, Benchmark: b, Scale: workloads.Tiny, Cores: 4})
+			want = append(want, system.Spec{System: sys, Benchmark: b, Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 4}})
 		}
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -130,31 +129,14 @@ func TestParseKnobAxis(t *testing.T) {
 	}
 }
 
-// TestAxesCoresKnobWinsOverLegacyField: drivers always fill Axes.Cores
-// from their -cores flag, so a "cores" Base override or sweep axis must
-// take precedence instead of tripping the Spec conflict check.
-func TestAxesCoresKnobWinsOverLegacyField(t *testing.T) {
-	var base config.Overrides
-	base.Set("cores", 8)
+// TestAxesCoresAxisOverwritesBase: drivers fold their -cores flag into
+// Base, so a "cores" sweep axis must overwrite that value point by point.
+func TestAxesCoresAxisOverwritesBase(t *testing.T) {
 	specs, err := Axes{
 		Benchmarks: []string{"EP"},
 		Systems:    []config.MemorySystem{config.CacheBased},
 		Scale:      workloads.Tiny,
-		Cores:      4, // the flag default the knob must override
-		Base:       base,
-	}.Specs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if specs[0].Cores != 0 || specs[0].Overrides.Cores != 8 || specs[0].Config().Cores != 8 {
-		t.Fatalf("base cores override lost: %+v", specs[0])
-	}
-
-	specs, err = Axes{
-		Benchmarks: []string{"EP"},
-		Systems:    []config.MemorySystem{config.CacheBased},
-		Scale:      workloads.Tiny,
-		Cores:      4,
+		Base:       config.Overrides{Cores: 4}, // the flag default the axis must override
 		Knobs:      []KnobAxis{{Name: "cores", Values: []int{2, 8}}},
 	}.Specs()
 	if err != nil {
@@ -178,7 +160,7 @@ func TestAxesWorkloadParamAxes(t *testing.T) {
 		Benchmarks: []string{"stream:streams=4"},
 		Systems:    []config.MemorySystem{config.HybridReal},
 		Scale:      workloads.Tiny,
-		Cores:      4,
+		Base:       config.Overrides{Cores: 4},
 		Knobs:      []KnobAxis{{Name: "l1d_size", Values: []int{16 << 10, 32 << 10}}},
 		WParams:    []ParamAxis{{Name: "stride", Values: []int{8, 128}}},
 	}

@@ -154,9 +154,11 @@ var AllSystems = []config.MemorySystem{config.CacheBased, config.HybridReal, con
 
 // Matrix enumerates the full benchmark x memory-system sweep — the shape of
 // every figure in the paper — as Specs, benchmark-major like the original
-// serial loop. It is the no-knob-axes special case of Axes.
+// serial loop. It is the no-knob-axes special case of Axes; cores == 0
+// keeps the Table 1 core count.
 func Matrix(benchmarks []string, systems []config.MemorySystem, scale workloads.Scale, cores int) []system.Spec {
-	specs, err := Axes{Benchmarks: benchmarks, Systems: systems, Scale: scale, Cores: cores}.Specs()
+	specs, err := Axes{Benchmarks: benchmarks, Systems: systems, Scale: scale,
+		Base: config.Overrides{Cores: cores}}.Specs()
 	if err != nil {
 		// Axes only fails on bad knob axes, and Matrix declares none.
 		panic(err)

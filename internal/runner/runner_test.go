@@ -61,8 +61,8 @@ func TestProgressStreamsOneLinePerRun(t *testing.T) {
 
 func TestFailedRunIsReportedNotFatal(t *testing.T) {
 	specs := []system.Spec{
-		{System: config.HybridReal, Benchmark: "EP", Scale: workloads.Tiny, Cores: 4},
-		{System: config.HybridReal, Benchmark: "NOPE", Scale: workloads.Tiny, Cores: 4},
+		{System: config.HybridReal, Benchmark: "EP", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 4}},
+		{System: config.HybridReal, Benchmark: "NOPE", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 4}},
 	}
 	results := Run(specs, Options{Workers: 2})
 	if results[0].Err != nil {

@@ -64,7 +64,6 @@ func (r PlanRequest) question() (planner.Question, error) {
 			Benchmarks: []string{r.Benchmark},
 			Systems:    []config.MemorySystem{sys},
 			Scale:      sc,
-			Cores:      r.Cores,
 			Knobs:      r.Sweep,
 			WParams:    r.WSweep,
 		},
@@ -78,6 +77,9 @@ func (r PlanRequest) question() (planner.Question, error) {
 	}
 	if r.Overrides != nil {
 		q.Axes.Base = *r.Overrides
+	}
+	if q.Axes.Base.Cores == 0 {
+		q.Axes.Base.Cores = r.Cores
 	}
 	return q, q.Validate()
 }

@@ -600,11 +600,14 @@ func (s *Server) compute(ctx context.Context, spec system.Spec, key string, tel 
 	run := func(ctx context.Context) (system.Results, error) {
 		t0 := time.Now()
 		defer func() { wall = time.Since(t0) }()
-		if rec == nil {
-			return spec.ExecuteContext(ctx)
+		m, err := spec.Build()
+		if err != nil {
+			return system.Results{}, err
 		}
-		res, _, err := spec.ExecuteObserved(ctx, rec)
-		return res, err
+		if rec != nil {
+			m.Attach(rec)
+		}
+		return m.RunContext(ctx, spec.MaxEvents)
 	}
 	res, hit, err = s.cache.GetOrRun(ctx, spec, run)
 	if rec != nil && hit && err == nil {
@@ -817,7 +820,9 @@ type Matrix struct {
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	Systems    []string `json:"systems,omitempty"` // cache|hybrid|ideal; default: all three
 	Scale      string   `json:"scale"`
-	Cores      int      `json:"cores,omitempty"`
+
+	// Cores is shorthand for overrides cores; an explicit override wins.
+	Cores int `json:"cores,omitempty"`
 
 	// Overrides fixes machine knobs for every enumerated run.
 	Overrides *config.Overrides `json:"overrides,omitempty"`
@@ -846,12 +851,14 @@ func (m Matrix) Specs() ([]system.Spec, error) {
 	axes := runner.Axes{
 		Benchmarks: m.Benchmarks,
 		Scale:      scale,
-		Cores:      m.Cores,
 		Knobs:      m.Sweep,
 		WParams:    m.WSweep,
 	}
 	if m.Overrides != nil {
 		axes.Base = *m.Overrides
+	}
+	if axes.Base.Cores == 0 {
+		axes.Base.Cores = m.Cores
 	}
 	if len(m.Systems) != 0 {
 		axes.Systems = make([]config.MemorySystem, len(m.Systems))

@@ -25,12 +25,12 @@ func TestAnalysisEndpoint(t *testing.T) {
 	ctx := context.Background()
 
 	// A filter starved four ways below its default capacity.
-	ov, err := config.ParseOverrides([]string{"filter_entries=4"})
+	ov, err := config.ParseOverrides([]string{"cores=4", "filter_entries=4"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	starved := system.Spec{System: config.HybridReal, Benchmark: "gups",
-		Scale: workloads.Tiny, Cores: 4, Overrides: ov}
+		Scale: workloads.Tiny, Overrides: ov}
 	rec, err := client.Run(ctx, starved, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestAnalysisEndpoint(t *testing.T) {
 	// A healthy run: HTTP 200, zero findings, and the stats-needing rules
 	// reported as skipped (the daemon keeps results, not raw counters).
 	healthy := system.Spec{System: config.HybridReal, Benchmark: "CG",
-		Scale: workloads.Tiny, Cores: 8}
+		Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 8}}
 	rec, err = client.Run(ctx, healthy, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -155,12 +155,12 @@ func TestSweepAnalyzeSummary(t *testing.T) {
 func TestFindingsMetric(t *testing.T) {
 	_, client := newTestDaemon(t, Options{Workers: 1, QueueDepth: 4})
 	ctx := context.Background()
-	ov, err := config.ParseOverrides([]string{"filter_entries=4"})
+	ov, err := config.ParseOverrides([]string{"cores=4", "filter_entries=4"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := system.Spec{System: config.HybridReal, Benchmark: "gups",
-		Scale: workloads.Tiny, Cores: 4, Overrides: ov}
+		Scale: workloads.Tiny, Overrides: ov}
 	rec, err := client.Run(ctx, spec, 0)
 	if err != nil {
 		t.Fatal(err)

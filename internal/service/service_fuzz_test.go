@@ -15,7 +15,9 @@ import (
 // body may panic; every Spec a body resolves to must validate, and its
 // Hash — the run's cache address — must survive a JSON round trip.
 func FuzzSubmitRequest(f *testing.F) {
-	// The bodies the CI smoke and cluster jobs post, plus a matrix.
+	// The bodies the CI smoke and cluster jobs post, a matrix, and the
+	// top-level cores/filter_entries aliases agreeing and conflicting with
+	// their overrides twins.
 	for _, body := range []string{
 		`{"spec":{"system":"hybrid","benchmark":"CG","scale":"tiny","cores":4}}`,
 		`{"spec":{"system":"hybrid","benchmark":"CG","scale":"tiny","cores":4,"overrides":{"l1d_size":65536}}}`,
@@ -26,6 +28,10 @@ func FuzzSubmitRequest(f *testing.F) {
 		`{"specs":[{"system":"hybrid","benchmark":"CG","scale":"tiny","cores":4}]}`,
 		`{"matrix":{"benchmarks":["EP","stream:stride=128"],"systems":["cache","ideal"],"scale":"tiny","cores":4,` +
 			`"sweep":[{"name":"filter_entries","values":[8,16]}]}}`,
+		`{"spec":{"system":"hybrid","benchmark":"IS","scale":"tiny","cores":8,"filter_entries":16,` +
+			`"overrides":{"cores":8,"filter_entries":16}}}`,
+		`{"spec":{"system":"hybrid","benchmark":"IS","scale":"tiny","cores":8,"filter_entries":4,` +
+			`"overrides":{"cores":16,"filter_entries":16}}}`,
 	} {
 		f.Add([]byte(body))
 	}

@@ -294,7 +294,7 @@ func TestTelemetryJoiningPendingRunGetsTimeline(t *testing.T) {
 	ctx := context.Background()
 
 	// Hold the only worker, then queue a plain run behind it.
-	slow := system.Spec{System: config.HybridReal, Benchmark: "CG", Scale: workloads.Small, Cores: 16}
+	slow := system.Spec{System: config.HybridReal, Benchmark: "CG", Scale: workloads.Small, Overrides: config.Overrides{Cores: 16}}
 	if _, err := client.Submit(ctx, SubmitRequest{Spec: &slow}, false, 0); err != nil {
 		t.Fatal(err)
 	}

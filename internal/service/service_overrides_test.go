@@ -16,7 +16,7 @@ import (
 
 // TestSubmitOverridesBearingSpec pins the tentpole wire path: a JSON body
 // with {"overrides":{...}} is accepted, runs under the v2 content hash, and
-// an equivalent legacy-field spelling of the same run is a cache hit.
+// the same run spelled with the top-level "cores" wire alias is a cache hit.
 func TestSubmitOverridesBearingSpec(t *testing.T) {
 	_, client := newTestDaemon(t, Options{Workers: 2, QueueDepth: 8})
 	modern := system.Spec{System: config.CacheBased, Benchmark: "EP", Scale: workloads.Tiny}
@@ -34,14 +34,19 @@ func TestSubmitOverridesBearingSpec(t *testing.T) {
 		t.Fatalf("run keyed %s, want the canonical v2 hash %s", first.Key, modern.Hash())
 	}
 
-	legacy := system.Spec{System: config.CacheBased, Benchmark: "EP", Scale: workloads.Tiny, Cores: 4}
-	legacy.Overrides.L1DSize = 16 << 10
-	second, err := client.Run(context.Background(), legacy, 0)
+	aliased := `{"spec":{"system":"cache","benchmark":"EP","scale":"tiny","cores":4,"overrides":{"l1d_size":16384}}}`
+	resp, err := http.Post(client.Base+"/v1/runs?wait=true", "application/json", strings.NewReader(aliased))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer resp.Body.Close()
+	var sr SubmitResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil || len(sr.Runs) != 1 {
+		t.Fatalf("alias submission: status %d, %v, %+v", resp.StatusCode, err, sr)
+	}
+	second := sr.Runs[0]
 	if !second.Cached {
-		t.Fatal("the legacy-field spelling of the same run missed the cache")
+		t.Fatal("the cores-alias spelling of the same run missed the cache")
 	}
 	if second.Key != first.Key {
 		t.Fatalf("equivalent spellings keyed apart: %s vs %s", second.Key, first.Key)

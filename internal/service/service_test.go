@@ -31,7 +31,7 @@ func newTestDaemon(t *testing.T, opt Options) (*Server, *Client) {
 }
 
 func tinySpec(bench string, sys config.MemorySystem) system.Spec {
-	return system.Spec{System: sys, Benchmark: bench, Scale: workloads.Tiny, Cores: 4}
+	return system.Spec{System: sys, Benchmark: bench, Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 4}}
 }
 
 // TestSameSpecTwiceServedFromCache is the acceptance criterion: the second
@@ -203,7 +203,7 @@ func TestQueueFullSheds429(t *testing.T) {
 
 	// Occupy the worker deterministically: submit a small-scale run, which
 	// takes long enough that the remaining submissions land while it runs.
-	slow := system.Spec{System: config.HybridReal, Benchmark: "CG", Scale: workloads.Small, Cores: 16}
+	slow := system.Spec{System: config.HybridReal, Benchmark: "CG", Scale: workloads.Small, Overrides: config.Overrides{Cores: 16}}
 	if _, err := client.Submit(context.Background(), SubmitRequest{Spec: &slow}, false, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func waitForBusyWorker(t *testing.T, srv *Server) {
 
 func TestDuplicatePendingSubmissionSharesOneJob(t *testing.T) {
 	srv, client := newTestDaemon(t, Options{Workers: 1, QueueDepth: 4})
-	slow := system.Spec{System: config.HybridReal, Benchmark: "CG", Scale: workloads.Small, Cores: 16}
+	slow := system.Spec{System: config.HybridReal, Benchmark: "CG", Scale: workloads.Small, Overrides: config.Overrides{Cores: 16}}
 	for i := 0; i < 3; i++ {
 		if _, err := client.Submit(context.Background(), SubmitRequest{Spec: &slow}, false, 0); err != nil {
 			t.Fatal(err)
@@ -337,7 +337,7 @@ func TestGetRunFromCacheOnlyKey(t *testing.T) {
 // queued job with the cancellation error so nothing blocked on a job hangs.
 func TestCloseFinishesQueuedJobs(t *testing.T) {
 	srv := New(Options{Workers: 1, QueueDepth: 4})
-	slow := system.Spec{System: config.HybridReal, Benchmark: "CG", Scale: workloads.Small, Cores: 16}
+	slow := system.Spec{System: config.HybridReal, Benchmark: "CG", Scale: workloads.Small, Overrides: config.Overrides{Cores: 16}}
 	if _, err := srv.acquire(slow, slow.Hash(), waiter{}); err != nil {
 		t.Fatal(err)
 	}

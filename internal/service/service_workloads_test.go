@@ -21,7 +21,7 @@ import (
 func TestSubmitParamsBearingSpec(t *testing.T) {
 	_, client := newTestDaemon(t, Options{Workers: 2, QueueDepth: 8})
 	wide := system.Spec{System: config.HybridReal, Benchmark: "stream", Scale: workloads.Tiny,
-		Params: "stride=128", Cores: 4}
+		Params: "stride=128", Overrides: config.Overrides{Cores: 4}}
 
 	first, err := client.Run(context.Background(), wide, 0)
 	if err != nil {
@@ -35,7 +35,7 @@ func TestSubmitParamsBearingSpec(t *testing.T) {
 	}
 
 	// Default-param and explicit-default spellings share one address.
-	plain := system.Spec{System: config.HybridReal, Benchmark: "stream", Scale: workloads.Tiny, Cores: 4}
+	plain := system.Spec{System: config.HybridReal, Benchmark: "stream", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 4}}
 	if _, err := client.Run(context.Background(), plain, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"repro/internal/config"
-	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
@@ -51,18 +50,8 @@ type Spec struct {
 	// unset. All-int fields keep Spec comparable and map-key-safe.
 	Overrides config.Overrides
 
-	// Cores is a legacy shim predating Overrides: when > 0 it folds into
-	// Overrides.Cores at resolve time, so old JSON bodies, CLI flags and
-	// cache identities keep working. The mesh is re-dimensioned to match
-	// unless mesh_width/mesh_height are overridden explicitly.
-	Cores int
-
 	// Seed overrides the workload-generation seed when != 0.
 	Seed uint64
-
-	// FilterEntries is the second legacy shim (the knob DESIGN.md's
-	// Ablation A sweeps); when > 0 it folds into Overrides.FilterEntries.
-	FilterEntries int
 
 	// MaxEvents bounds the run (0 = unbounded); exceeding it is an error.
 	MaxEvents uint64
@@ -74,21 +63,6 @@ func (s Spec) seed() uint64 {
 		return s.Seed
 	}
 	return DefaultSeed
-}
-
-// resolved folds the legacy Cores/FilterEntries shims into the Overrides,
-// which afterwards is the single source of machine-knob truth. An explicit
-// Overrides field wins over its legacy twin (Validate rejects the
-// conflicting case, so the precedence only decides error messages).
-func (s Spec) resolved() config.Overrides {
-	ov := s.Overrides
-	if s.Cores > 0 && ov.Cores == 0 {
-		ov.Cores = s.Cores
-	}
-	if s.FilterEntries > 0 && ov.FilterEntries == 0 {
-		ov.FilterEntries = s.FilterEntries
-	}
-	return ov
 }
 
 // ParamDiff returns, in canonical declaration order, every workload
@@ -167,10 +141,10 @@ func (s Spec) KnobDiff() []config.KnobValue {
 // Key is a stable, human-readable identity for the run — usable as a map
 // key, a cache filename, or a progress label. Two Specs with equal Keys
 // produce byte-identical Results; equivalent Specs (a zero field vs its
-// explicit default, a legacy field vs its Overrides twin, an unset workload
-// parameter vs its explicit default) share one Key. Non-default workload
-// params render inside the first segment as "name:k=v"; non-default knobs
-// render as "/name=value" in registry order.
+// explicit default, an unset knob or workload parameter vs its explicit
+// default) share one Key. Non-default workload params render inside the
+// first segment as "name:k=v"; non-default knobs render as "/name=value" in
+// registry order.
 func (s Spec) Key() string {
 	k := fmt.Sprintf("%s/%s/%s", s.workloadLabel(), s.System, s.Scale)
 	for _, kv := range s.KnobDiff() {
@@ -193,13 +167,14 @@ func (s Spec) Key() string {
 // machine that differs from its Table 1 default, in config.Knobs() registry
 // order (KnobDiff). Defaultable fields are resolved (seed) or dropped
 // (knobs and params at their default value), so every spelling of one run —
-// legacy Cores/FilterEntries, Overrides, derived mesh/controller
-// adjustments written out by hand, or a workload parameter spelled at its
-// default — collapses to one digest, and distinct runs never share one.
-// DESIGN.md §8 documents the encoding; it is versioned, so any change to
-// the field set or to run semantics bumps the prefix and old cache entries
-// simply miss (v3 added the workload-parameter lines; v4 marks the NoC's
-// route reservation at injection, which changed every run's timing).
+// the top-level "cores"/"filter_entries" wire aliases, Overrides, derived
+// mesh/controller adjustments written out by hand, or a workload parameter
+// spelled at its default — collapses to one digest, and distinct runs never
+// share one. DESIGN.md §8 documents the encoding; it is versioned, so any
+// change to the field set or to run semantics bumps the prefix and old
+// cache entries simply miss (v3 added the workload-parameter lines; v4
+// marks the NoC's route reservation at injection, which changed every
+// run's timing).
 func (s Spec) Hash() string {
 	var buf [512]byte
 	b := append(buf[:0], "hybridsim-spec-v4\nsystem="...)
@@ -265,7 +240,9 @@ func systemDefault(sys config.MemorySystem) *config.Config {
 }
 
 // specJSON is the wire form of a Spec. Overrides travels as a pointer so an
-// all-default Spec serializes without an empty "overrides" object.
+// all-default Spec serializes without an empty "overrides" object. Cores
+// and FilterEntries are decode-only aliases for their Overrides twins
+// (older request bodies send them top-level); MarshalJSON never sets them.
 type specJSON struct {
 	System        config.MemorySystem `json:"system"`
 	Benchmark     string              `json:"benchmark"`
@@ -282,13 +259,11 @@ type specJSON struct {
 // by name, so specs survive service requests and disk cache entries intact.
 func (s Spec) MarshalJSON() ([]byte, error) {
 	sj := specJSON{
-		System:        s.System,
-		Benchmark:     s.Benchmark,
-		Scale:         s.Scale,
-		Cores:         s.Cores,
-		Seed:          s.Seed,
-		FilterEntries: s.FilterEntries,
-		MaxEvents:     s.MaxEvents,
+		System:    s.System,
+		Benchmark: s.Benchmark,
+		Scale:     s.Scale,
+		Seed:      s.Seed,
+		MaxEvents: s.MaxEvents,
 	}
 	if !s.Overrides.IsZero() {
 		ov := s.Overrides
@@ -306,7 +281,9 @@ func (s Spec) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON decodes what MarshalJSON produces, rejecting unknown fields
 // and validating the Spec (unknown benchmarks, unbuildable machines) at
-// decode time — a service must fail a bad request before queueing it.
+// decode time — a service must fail a bad request before queueing it. The
+// top-level "cores" and "filter_entries" aliases fold into Overrides; a
+// negative alias, or one contradicting its "overrides" twin, is rejected.
 func (s *Spec) UnmarshalJSON(b []byte) error {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
@@ -315,16 +292,31 @@ func (s *Spec) UnmarshalJSON(b []byte) error {
 		return fmt.Errorf("system: bad spec: %w", err)
 	}
 	decoded := Spec{
-		System:        sj.System,
-		Benchmark:     sj.Benchmark,
-		Scale:         sj.Scale,
-		Cores:         sj.Cores,
-		Seed:          sj.Seed,
-		FilterEntries: sj.FilterEntries,
-		MaxEvents:     sj.MaxEvents,
+		System:    sj.System,
+		Benchmark: sj.Benchmark,
+		Scale:     sj.Scale,
+		Seed:      sj.Seed,
+		MaxEvents: sj.MaxEvents,
 	}
 	if sj.Overrides != nil {
 		decoded.Overrides = *sj.Overrides
+	}
+	for _, alias := range [...]struct {
+		name string
+		v    int
+		ov   *int
+	}{
+		{"cores", sj.Cores, &decoded.Overrides.Cores},
+		{"filter_entries", sj.FilterEntries, &decoded.Overrides.FilterEntries},
+	} {
+		switch {
+		case alias.v < 0:
+			return fmt.Errorf("system: negative %s %d", alias.name, alias.v)
+		case alias.v > 0 && *alias.ov > 0 && alias.v != *alias.ov:
+			return fmt.Errorf("system: %s %d conflicts with overrides %s %d", alias.name, alias.v, alias.name, *alias.ov)
+		case alias.v > 0:
+			*alias.ov = alias.v
+		}
 	}
 	// JSON objects carry no order, so the decoded assignment is rendered
 	// in the workload's canonical declaration order — one spelling per
@@ -340,8 +332,7 @@ func (s *Spec) UnmarshalJSON(b []byte) error {
 // Config materializes the machine configuration the Spec describes: Table 1
 // defaults for the system, every override applied, and — when the core
 // count changes without an explicit mesh override — the mesh, memory
-// controllers and FilterDir re-dimensioned exactly as the legacy shrink
-// path did, so legacy and Overrides spellings build identical machines.
+// controllers and FilterDir re-dimensioned to match (applyShrink).
 func (s Spec) Config() config.Config {
 	var m configScratch
 	s.materialize(&m)
@@ -361,7 +352,7 @@ var scratchPool = sync.Pool{New: func() any { return new(configScratch) }}
 func (s Spec) materialize(m *configScratch) {
 	def := systemDefault(s.System)
 	m.cfg = *def
-	m.ov = s.resolved()
+	m.ov = s.Overrides
 	m.ov.Apply(&m.cfg)
 	if m.ov.Cores > 0 && m.ov.Cores != def.Cores {
 		applyShrink(&m.cfg, &m.ov)
@@ -370,26 +361,8 @@ func (s Spec) materialize(m *configScratch) {
 
 // Validate reports whether the Spec names a buildable run.
 func (s Spec) Validate() error {
-	// Negative overrides would be ignored by Config (which treats <= 0 as
-	// "default") yet still perturb the wire form — reject them before they
-	// can mint a bogus cache identity.
-	if s.Cores < 0 {
-		return fmt.Errorf("system: negative core count %d", s.Cores)
-	}
-	if s.FilterEntries < 0 {
-		return fmt.Errorf("system: negative filter size %d", s.FilterEntries)
-	}
 	if err := s.Overrides.Validate(); err != nil {
 		return fmt.Errorf("system: %w", err)
-	}
-	// A legacy shim and its Overrides twin naming different values is a
-	// contradiction, not a precedence question.
-	if s.Cores > 0 && s.Overrides.Cores > 0 && s.Cores != s.Overrides.Cores {
-		return fmt.Errorf("system: cores %d conflicts with overrides cores %d", s.Cores, s.Overrides.Cores)
-	}
-	if s.FilterEntries > 0 && s.Overrides.FilterEntries > 0 && s.FilterEntries != s.Overrides.FilterEntries {
-		return fmt.Errorf("system: filter_entries %d conflicts with overrides filter_entries %d",
-			s.FilterEntries, s.Overrides.FilterEntries)
 	}
 	// The workload and its parameters validate against the registry —
 	// unknown names, undeclared or out-of-range params, and unparsable
@@ -408,6 +381,25 @@ func (s Spec) Validate() error {
 	return s.Config().Validate()
 }
 
+// Build validates the Spec and wires the machine it names: the workload
+// generated from Benchmark, Params and Scale, on the materialized Config,
+// seeded by Seed. It is the one route from a Spec to a Machine; callers
+// attach observers (Machine.Attach), run it (Machine.RunContext) and read
+// its counters (Machine.CounterSnapshot) themselves. Observation never
+// feeds back into simulated behavior, so it is not part of the Spec and
+// not part of the cache identity.
+func (s Spec) Build() (*Machine, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	p, _ := workloads.ParseParams(s.Params) // Validate just accepted it
+	bench, err := workloads.BuildSpec(s.Benchmark, p, s.Scale)
+	if err != nil {
+		return nil, err
+	}
+	return Build(s.Config(), bench, s.seed())
+}
+
 // ExecuteContext builds the machine, runs the benchmark to completion, and
 // returns the measurements. Each call wires a fresh single-threaded engine,
 // so concurrent runs of different Specs are independent and race-free. The
@@ -415,43 +407,9 @@ func (s Spec) Validate() error {
 // per-request deadlines stop a simulation mid-run instead of burning the
 // rest of it.
 func (s Spec) ExecuteContext(ctx context.Context) (Results, error) {
-	r, _, err := s.executeOn(ctx, nil, false)
-	return r, err
-}
-
-// ExecuteObserved is ExecuteContext with observers. rec (if non-nil) is
-// attached to the machine before the run, so it samples counters and/or
-// traces events while the benchmark executes; after the run, the counters
-// are snapshotted (Machine.CounterSnapshot) — the full-fidelity input the
-// analysis rules want. Observation never feeds back into simulated
-// behavior — Results are identical to ExecuteContext's — so it is
-// deliberately not part of the Spec (and thus not part of the cache
-// identity): it describes how to watch a run, not which run to do.
-func (s Spec) ExecuteObserved(ctx context.Context, rec *telemetry.Recorder) (Results, map[string]uint64, error) {
-	return s.executeOn(ctx, rec, true)
-}
-
-// executeOn is the shared run path: validate, build the workload and the
-// machine, optionally attach an observer, run, optionally snapshot counters.
-func (s Spec) executeOn(ctx context.Context, rec *telemetry.Recorder, snapshot bool) (Results, map[string]uint64, error) {
-	if err := s.Validate(); err != nil {
-		return Results{}, nil, err
-	}
-	p, _ := workloads.ParseParams(s.Params) // Validate just accepted it
-	bench, err := workloads.BuildSpec(s.Benchmark, p, s.Scale)
+	m, err := s.Build()
 	if err != nil {
-		return Results{}, nil, err
+		return Results{}, err
 	}
-	m, err := Build(s.Config(), bench, s.seed())
-	if err != nil {
-		return Results{}, nil, err
-	}
-	if rec != nil {
-		m.Attach(rec)
-	}
-	r, err := m.RunContext(ctx, s.MaxEvents)
-	if err != nil || !snapshot {
-		return r, nil, err
-	}
-	return r, m.CounterSnapshot(), nil
+	return m.RunContext(ctx, s.MaxEvents)
 }

@@ -35,8 +35,9 @@ func referenceHash(s Spec) string {
 
 // randomSpec draws a Spec from a space that includes every system (and an
 // unknown one), every workload (and an unknown one), valid, default-valued,
-// undeclared and unparsable params, legacy shims, random knob overrides
-// (sometimes at their default value), seeds and event bounds.
+// undeclared and unparsable params, random knob overrides (sometimes at
+// their default value, with extra weight on cores and filter_entries),
+// seeds and event bounds.
 func randomSpec(rnd *rand.Rand) Spec {
 	names := append(workloads.Names(), "nope")
 	params := []string{"", " ", "stride=128", "stride=8", "hot_pct=50", "footprint=64k",
@@ -58,10 +59,10 @@ func randomSpec(rnd *rand.Rand) Spec {
 		*k.Over(&s.Overrides) = v
 	}
 	if rnd.Intn(3) == 0 {
-		s.Cores = []int{4, 8, 16, 64}[rnd.Intn(4)]
+		s.Overrides.Cores = []int{4, 8, 16, 64}[rnd.Intn(4)]
 	}
 	if rnd.Intn(4) == 0 {
-		s.FilterEntries = 1 << rnd.Intn(7)
+		s.Overrides.FilterEntries = 1 << rnd.Intn(7)
 	}
 	if rnd.Intn(2) == 0 {
 		s.Seed = rnd.Uint64() >> rnd.Intn(64)
@@ -84,7 +85,7 @@ func TestSpecHashMatchesReference(t *testing.T) {
 
 // hashBenchSpec is the shape the result cache hashes most: a NAS kernel on
 // a resized machine with no workload parameters.
-var hashBenchSpec = Spec{System: config.CacheBased, Benchmark: "MG", Scale: workloads.Small, Cores: 16}
+var hashBenchSpec = Spec{System: config.CacheBased, Benchmark: "MG", Scale: workloads.Small, Overrides: config.Overrides{Cores: 16}}
 
 // TestSpecHashAllocs pins the cost of the cached-answer path's identity:
 // hashing a Spec allocates at most three times.

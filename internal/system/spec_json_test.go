@@ -12,8 +12,8 @@ import (
 )
 
 // specVariants enumerates every combination of the optional Spec fields
-// (Cores, Seed, FilterEntries, MaxEvents set or zero) over a couple of
-// base (system, benchmark, scale) triples — 2 x 16 Specs.
+// (the cores and filter_entries overrides, Seed, MaxEvents set or zero) over
+// a couple of base (system, benchmark, scale) triples — 2 x 16 Specs.
 func specVariants() []Spec {
 	bases := []Spec{
 		{System: config.CacheBased, Benchmark: "EP", Scale: workloads.Tiny},
@@ -24,13 +24,13 @@ func specVariants() []Spec {
 		for mask := 0; mask < 16; mask++ {
 			s := base
 			if mask&1 != 0 {
-				s.Cores = 8
+				s.Overrides.Cores = 8
 			}
 			if mask&2 != 0 {
 				s.Seed = 12345
 			}
 			if mask&4 != 0 {
-				s.FilterEntries = 16
+				s.Overrides.FilterEntries = 16
 			}
 			if mask&8 != 0 {
 				s.MaxEvents = 1 << 20
@@ -142,9 +142,9 @@ func TestSpecHashDistinguishesEveryField(t *testing.T) {
 		"system":    {System: config.CacheBased, Benchmark: "IS", Scale: workloads.Tiny},
 		"benchmark": {System: config.HybridReal, Benchmark: "CG", Scale: workloads.Tiny},
 		"scale":     {System: config.HybridReal, Benchmark: "IS", Scale: workloads.Small},
-		"cores":     {System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Cores: 8},
+		"cores":     {System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 8}},
 		"seed":      {System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Seed: 9},
-		"filter":    {System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, FilterEntries: 8},
+		"filter":    {System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Overrides: config.Overrides{FilterEntries: 8}},
 		"maxevents": {System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, MaxEvents: 10},
 	}
 	for field, s := range mutations {
@@ -161,7 +161,7 @@ func TestSpecHashDistinguishesEveryField(t *testing.T) {
 func TestExecuteContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := Spec{System: config.CacheBased, Benchmark: "EP", Scale: workloads.Tiny, Cores: 4}
+	s := Spec{System: config.CacheBased, Benchmark: "EP", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 4}}
 	_, err := s.ExecuteContext(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -175,8 +175,8 @@ func TestSpecDefaultNormalization(t *testing.T) {
 	base := Spec{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny}
 	def := config.ForSystem(config.HybridReal)
 	explicit := base
-	explicit.Cores = def.Cores
-	explicit.FilterEntries = def.FilterEntries
+	explicit.Overrides.Cores = def.Cores
+	explicit.Overrides.FilterEntries = def.FilterEntries
 	if base.Key() != explicit.Key() {
 		t.Fatalf("explicit defaults change Key: %q vs %q", explicit.Key(), base.Key())
 	}
@@ -184,7 +184,7 @@ func TestSpecDefaultNormalization(t *testing.T) {
 		t.Fatalf("explicit defaults change Hash: %q vs %q", explicit.Hash(), base.Hash())
 	}
 	shrunk := base
-	shrunk.Cores = 8
+	shrunk.Overrides.Cores = 8
 	if shrunk.Hash() == base.Hash() {
 		t.Fatal("a real core-count override did not change the Hash")
 	}
@@ -194,8 +194,8 @@ func TestSpecDefaultNormalization(t *testing.T) {
 // ignored by Config yet perturb nothing but the wire form — reject them.
 func TestSpecValidateRejectsNegativeOverrides(t *testing.T) {
 	bad := []Spec{
-		{System: config.CacheBased, Benchmark: "EP", Scale: workloads.Tiny, Cores: -4},
-		{System: config.CacheBased, Benchmark: "EP", Scale: workloads.Tiny, FilterEntries: -1},
+		{System: config.CacheBased, Benchmark: "EP", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: -4}},
+		{System: config.CacheBased, Benchmark: "EP", Scale: workloads.Tiny, Overrides: config.Overrides{FilterEntries: -1}},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {

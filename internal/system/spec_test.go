@@ -24,8 +24,7 @@ func TestSpecConfigDefaults(t *testing.T) {
 }
 
 func TestSpecConfigOverrides(t *testing.T) {
-	s := Spec{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny,
-		Cores: 8, FilterEntries: 16}
+	s := Spec{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 8, FilterEntries: 16}}
 	cfg := s.Config()
 	if cfg.Cores != 8 {
 		t.Fatalf("Cores = %d, want 8", cfg.Cores)
@@ -48,8 +47,8 @@ func TestSpecKeyDistinguishesRuns(t *testing.T) {
 		{System: config.CacheBased, Benchmark: "IS", Scale: workloads.Tiny},
 		{System: config.HybridReal, Benchmark: "CG", Scale: workloads.Tiny},
 		{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Small},
-		{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Cores: 8},
-		{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, FilterEntries: 8},
+		{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 8}},
+		{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Overrides: config.Overrides{FilterEntries: 8}},
 		{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Seed: 7},
 	}
 	seen := map[string]Spec{}
@@ -76,26 +75,8 @@ func TestSpecValidateRejectsUnknownBenchmark(t *testing.T) {
 	}
 }
 
-// TestSpecExecuteMatchesRunBenchmark pins the refactor: the declarative path
-// must reproduce the legacy convenience call exactly.
-func TestSpecExecuteMatchesRunBenchmark(t *testing.T) {
-	s := Spec{System: config.HybridIdeal, Benchmark: "EP", Scale: workloads.Tiny, Cores: 4}
-	got, err := s.ExecuteContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := RunBenchmark(config.HybridIdeal, workloads.Build("EP", workloads.Tiny), 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("Spec.Execute diverged from RunBenchmark:\n got %+v\nwant %+v", got, want)
-	}
-}
-
 func TestSpecMaxEventsBudget(t *testing.T) {
-	s := Spec{System: config.CacheBased, Benchmark: "EP", Scale: workloads.Tiny,
-		Cores: 4, MaxEvents: 100}
+	s := Spec{System: config.CacheBased, Benchmark: "EP", Scale: workloads.Tiny, MaxEvents: 100, Overrides: config.Overrides{Cores: 4}}
 	if _, err := s.ExecuteContext(context.Background()); err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Fatalf("err = %v, want event-budget error", err)
 	}

@@ -34,39 +34,64 @@ func TestV2EntriesMissUnderV3(t *testing.T) {
 	}
 }
 
-// TestSpecLegacyOverridesEquivalence is the cache-compat regression guard:
-// a Spec using the legacy Cores/FilterEntries fields and the same run
-// spelled through Overrides must share one Hash, one Key and one Config —
-// otherwise upgrading a client would split the daemon's cache in two.
+// TestSpecLegacyOverridesEquivalence is the cache-compat regression guard
+// for the top-level "cores"/"filter_entries" wire aliases: a body using them
+// and the same run spelled through "overrides" must decode to one Spec, one
+// Hash, one Key and one Config — otherwise old clients would split the
+// daemon's cache in two. A conflicting or negative alias is rejected.
 func TestSpecLegacyOverridesEquivalence(t *testing.T) {
-	legacy := Spec{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny,
-		Cores: 8, FilterEntries: 16}
-	modern := Spec{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny}
-	modern.Overrides.Cores = 8
-	modern.Overrides.FilterEntries = 16
+	decode := func(fields string) (Spec, error) {
+		var s Spec
+		err := json.Unmarshal([]byte(`{"system":"hybrid","benchmark":"IS","scale":"tiny",`+fields+`}`), &s)
+		return s, err
+	}
+	legacy, err := decode(`"cores":8,"filter_entries":16`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	modern, err := decode(`"overrides":{"cores":8,"filter_entries":16}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if legacy != modern {
+		t.Fatalf("alias and overrides spellings decode apart:\n%+v\n%+v", legacy, modern)
+	}
+	if legacy.Hash() != modern.Hash() || legacy.Key() != modern.Key() || legacy.Config() != modern.Config() {
+		t.Fatalf("alias and overrides spellings name different runs: %q vs %q", legacy.Key(), modern.Key())
+	}
+	// The canonical encoding carries no alias.
+	b, err := json.Marshal(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(b, &top); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := top["cores"]; ok {
+		t.Fatalf("marshal wrote the cores alias: %s", b)
+	}
+	if _, ok := top["filter_entries"]; ok {
+		t.Fatalf("marshal wrote the filter_entries alias: %s", b)
+	}
 
-	if legacy.Hash() != modern.Hash() {
-		t.Fatalf("legacy and Overrides spellings hash apart:\n%s\n%s", legacy.Hash(), modern.Hash())
-	}
-	if legacy.Key() != modern.Key() {
-		t.Fatalf("legacy and Overrides spellings key apart: %q vs %q", legacy.Key(), modern.Key())
-	}
-	if legacy.Config() != modern.Config() {
-		t.Fatalf("legacy and Overrides spellings build different machines:\n%+v\n%+v",
-			legacy.Config(), modern.Config())
-	}
-	// Both set, agreeing: fine. Both set, disagreeing: a contradiction.
-	both := legacy
-	both.Overrides.Cores = 8
-	if err := both.Validate(); err != nil {
-		t.Fatalf("agreeing legacy+override rejected: %v", err)
+	// Both set, agreeing: fine.
+	both, err := decode(`"cores":8,"overrides":{"cores":8,"filter_entries":16}`)
+	if err != nil {
+		t.Fatalf("agreeing alias+override rejected: %v", err)
 	}
 	if both.Hash() != legacy.Hash() {
-		t.Fatal("agreeing legacy+override changed the hash")
+		t.Fatal("agreeing alias+override changed the hash")
 	}
-	both.Overrides.Cores = 16
-	if err := both.Validate(); err == nil || !strings.Contains(err.Error(), "conflict") {
-		t.Fatalf("conflicting legacy+override accepted: %v", err)
+	for _, bad := range []struct{ fields, want string }{
+		{`"cores":16,"overrides":{"cores":8}`, "conflict"},
+		{`"filter_entries":4,"overrides":{"filter_entries":16}`, "conflict"},
+		{`"cores":-4`, "negative"},
+		{`"filter_entries":-1`, "negative"},
+	} {
+		if _, err := decode(bad.fields); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("decode %s = %v, want a %q error", bad.fields, err, bad.want)
+		}
 	}
 }
 
@@ -139,7 +164,7 @@ func TestSpecOverridesDefaultNormalization(t *testing.T) {
 // the machine and perturb the measurements — the end-to-end guarantee the
 // whole redesign exists for.
 func TestSpecOverridesAffectResults(t *testing.T) {
-	base := Spec{System: config.CacheBased, Benchmark: "IS", Scale: workloads.Tiny, Cores: 4}
+	base := Spec{System: config.CacheBased, Benchmark: "IS", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 4}}
 	shrunkL1 := base
 	shrunkL1.Overrides.L1DSize = 1 << 10
 	rBase, err := base.ExecuteContext(context.Background())
@@ -199,7 +224,7 @@ func TestMeshForNonRectangularCores(t *testing.T) {
 			t.Errorf("meshFor(%d) = %dx%d, want %dx%d", c.cores, w, h, c.w, c.h)
 		}
 	}
-	s := Spec{System: config.CacheBased, Benchmark: "EP", Scale: workloads.Tiny, Cores: 7}
+	s := Spec{System: config.CacheBased, Benchmark: "EP", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 7}}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("a prime core count must still be buildable (1x7 chain): %v", err)
 	}
@@ -217,7 +242,7 @@ func TestMeshForNonRectangularCores(t *testing.T) {
 // Conversely, writing the derived adjustments out by hand names the SAME
 // machine as letting shrink compute them, and must share one address.
 func TestSpecHashSeesDerivedAdjustments(t *testing.T) {
-	capped := Spec{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Cores: 4}
+	capped := Spec{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 4}}
 	uncapped := capped
 	uncapped.Overrides.MemControllers = config.ForSystem(config.HybridReal).MemControllers // 16, the default
 	if capped.Config().MemControllers == uncapped.Config().MemControllers {

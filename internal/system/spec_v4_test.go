@@ -138,7 +138,7 @@ func TestSpecValidateParamsFromRegistry(t *testing.T) {
 // identity intact.
 func TestSpecParamsJSONRoundTrip(t *testing.T) {
 	s := Spec{System: config.HybridReal, Benchmark: "stream", Scale: workloads.Tiny,
-		Params: "n=4096,stride=128", Cores: 4}
+		Params: "n=4096,stride=128", Overrides: config.Overrides{Cores: 4}}
 	b, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestSpecParamsJSONRoundTrip(t *testing.T) {
 // for — a workload parameter must reach the machine and perturb the
 // measurements.
 func TestSpecParamsAffectResults(t *testing.T) {
-	base := Spec{System: config.HybridReal, Benchmark: "stream", Scale: workloads.Tiny, Cores: 4}
+	base := Spec{System: config.HybridReal, Benchmark: "stream", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 4}}
 	rBase, err := base.ExecuteContext(context.Background())
 	if err != nil {
 		t.Fatal(err)

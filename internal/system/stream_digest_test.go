@@ -67,7 +67,7 @@ func TestStreamDigests(t *testing.T) {
 		}
 		for _, sys := range []config.MemorySystem{config.HybridReal, config.CacheBased} {
 			for _, cores := range []int{1, 4, 16} {
-				cfg := Spec{System: sys, Benchmark: e.Name, Scale: workloads.Tiny, Cores: cores}.Config()
+				cfg := Spec{System: sys, Benchmark: e.Name, Scale: workloads.Tiny, Overrides: config.Overrides{Cores: cores}}.Config()
 				var amap spm.AddressMap
 				if cfg.HasSPM() {
 					amap = spm.NewAddressMap(cfg.Cores, cfg.SPMSize)

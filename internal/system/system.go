@@ -462,20 +462,6 @@ func (m *Machine) collect() Results {
 	return r
 }
 
-// RunBenchmark is the one-call convenience: build the machine for sys and
-// run bench on it.
-func RunBenchmark(sys config.MemorySystem, bench *compiler.Benchmark, cores int, maxEvents uint64) (Results, error) {
-	cfg := config.ForSystem(sys)
-	if cores > 0 && cores != cfg.Cores {
-		cfg = shrink(cfg, cores)
-	}
-	m, err := Build(cfg, bench, 0xC0FFEE)
-	if err != nil {
-		return Results{}, err
-	}
-	return m.Run(maxEvents)
-}
-
 // meshFor picks the squarest w x h mesh covering exactly cores nodes: the
 // largest divisor pair, w <= h. For a prime (or otherwise poorly factorable)
 // core count the only cover is the degenerate 1 x N chain, whose NoC
@@ -497,10 +483,8 @@ func meshFor(cores int) (w, h int) {
 // applyShrink re-dimensions cfg's derived structures for a changed core
 // count: the mesh is re-factored, the memory controllers capped, and the
 // FilterDir floored (DESIGN.md §5 "Structure floors"). Each adjustment is
-// suppressed when ov pins the corresponding knob explicitly. This is the
-// single implementation behind both shrink (the legacy RunBenchmark path)
-// and Spec.Config — they must not diverge, because Spec.Hash() encodes the
-// machine this function produces.
+// suppressed when ov pins the corresponding knob explicitly. Spec.Config is
+// its only caller, and Spec.Hash() encodes the machine it produces.
 func applyShrink(cfg *config.Config, ov *config.Overrides) {
 	if ov.MeshWidth == 0 && ov.MeshHeight == 0 {
 		cfg.MeshWidth, cfg.MeshHeight = meshFor(cfg.Cores)
@@ -511,11 +495,4 @@ func applyShrink(cfg *config.Config, ov *config.Overrides) {
 	if ov.FilterDirEntries == 0 && cfg.FilterDirEntries < cfg.Cores {
 		cfg.FilterDirEntries = cfg.Cores
 	}
-}
-
-// shrink reconfigures the mesh for a smaller core count (tests, benches).
-func shrink(cfg config.Config, cores int) config.Config {
-	cfg.Cores = cores
-	applyShrink(&cfg, &config.Overrides{})
-	return cfg
 }

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -170,11 +171,7 @@ func TestPutSRaceSeeds(t *testing.T) {
 			Overrides: config.Overrides{Cores: 16}, Seed: c.seed}
 		t.Run(fmt.Sprintf("%s/seed=%d", c.sys, c.seed), func(t *testing.T) {
 			t.Parallel()
-			bench, err := workloads.BuildSpec(spec.Benchmark, nil, spec.Scale)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := Build(spec.Config(), bench, spec.Seed)
+			m, err := spec.Build()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,10 +195,11 @@ func TestEventBudgetEnforced(t *testing.T) {
 	}
 }
 
-func TestRunBenchmarkTinyWorkloads(t *testing.T) {
+func TestTinyWorkloadsRun(t *testing.T) {
 	for _, name := range workloads.Names() {
 		for _, sys := range []config.MemorySystem{config.CacheBased, config.HybridReal} {
-			r, err := RunBenchmark(sys, workloads.Build(name, workloads.Tiny), 4, 500_000_000)
+			r, err := Spec{System: sys, Benchmark: name, Scale: workloads.Tiny,
+				Overrides: config.Overrides{Cores: 4}, MaxEvents: 500_000_000}.ExecuteContext(context.Background())
 			if err != nil {
 				t.Fatalf("%s on %v: %v", name, sys, err)
 			}
@@ -213,9 +211,9 @@ func TestRunBenchmarkTinyWorkloads(t *testing.T) {
 }
 
 func TestShrinkGeometry(t *testing.T) {
-	cfg := shrink(config.ForSystem(config.HybridReal), 16)
+	cfg := Spec{System: config.HybridReal, Overrides: config.Overrides{Cores: 16}}.Config()
 	if cfg.Cores != 16 || cfg.MeshWidth*cfg.MeshHeight != 16 {
-		t.Fatalf("shrink: %d cores, %dx%d", cfg.Cores, cfg.MeshWidth, cfg.MeshHeight)
+		t.Fatalf("16 cores: %d cores, %dx%d", cfg.Cores, cfg.MeshWidth, cfg.MeshHeight)
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
@@ -223,7 +221,8 @@ func TestShrinkGeometry(t *testing.T) {
 }
 
 func TestSPFilterNeverExercised(t *testing.T) {
-	r, err := RunBenchmark(config.HybridReal, workloads.Build("SP", workloads.Tiny), 4, 500_000_000)
+	r, err := Spec{System: config.HybridReal, Benchmark: "SP", Scale: workloads.Tiny,
+		Overrides: config.Overrides{Cores: 4}, MaxEvents: 500_000_000}.ExecuteContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,12 +10,33 @@ import (
 	"repro/internal/workloads"
 )
 
+// runObserved builds spec's machine, attaches rec when non-nil, runs it and
+// snapshots its counters: the observed route every Spec.Build caller takes.
+func runObserved(t *testing.T, spec Spec, rec *telemetry.Recorder) Results {
+	t.Helper()
+	m, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec != nil {
+		m.Attach(rec)
+	}
+	r, err := m.RunContext(context.Background(), spec.MaxEvents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.CounterSnapshot()) == 0 {
+		t.Fatal("empty counter snapshot")
+	}
+	return r
+}
+
 // TestRecorderResultsIdentical pins the telemetry package's core contract:
 // attaching a Recorder — sampling and tracing both on — observes the run
 // without perturbing it. The Results of a recorded run must equal the plain
 // run's bit for bit.
 func TestRecorderResultsIdentical(t *testing.T) {
-	spec := Spec{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Cores: 4}
+	spec := Spec{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 4}}
 
 	plain, err := spec.ExecuteContext(context.Background())
 	if err != nil {
@@ -23,10 +44,7 @@ func TestRecorderResultsIdentical(t *testing.T) {
 	}
 
 	rec := telemetry.NewRecorder(64, 1<<12)
-	recorded, _, err := spec.ExecuteObserved(context.Background(), rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recorded := runObserved(t, spec, rec)
 
 	if !reflect.DeepEqual(plain, recorded) {
 		t.Errorf("recorded run's Results differ from plain run:\nplain:    %+v\nrecorded: %+v", plain, recorded)
@@ -37,11 +55,9 @@ func TestRecorderResultsIdentical(t *testing.T) {
 // tiny run with sampling and tracing enabled yields a non-empty time series
 // over the machine's probe schema and a non-empty event trace.
 func TestRecordedRunProducesTelemetry(t *testing.T) {
-	spec := Spec{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Cores: 4}
+	spec := Spec{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 4}}
 	rec := telemetry.NewRecorder(64, 1<<14)
-	if _, _, err := spec.ExecuteObserved(context.Background(), rec); err != nil {
-		t.Fatal(err)
-	}
+	runObserved(t, spec, rec)
 
 	ts := rec.Series()
 	if len(ts.Names) == 0 {
@@ -89,18 +105,16 @@ func TestRecordedRunProducesTelemetry(t *testing.T) {
 }
 
 // TestUnrecordedRunPaysNothing pins the disabled-path contract from the
-// machine's side: ExecuteObserved(nil) is exactly ExecuteContext.
+// machine's side: a built machine with no Recorder attached, counters
+// snapshotted after the run, is exactly ExecuteContext.
 func TestUnrecordedRunPaysNothing(t *testing.T) {
-	spec := Spec{System: config.HybridReal, Benchmark: "EP", Scale: workloads.Tiny, Cores: 4}
+	spec := Spec{System: config.HybridReal, Benchmark: "EP", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 4}}
 	a, err := spec.ExecuteContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := spec.ExecuteObserved(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := runObserved(t, spec, nil)
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("ExecuteObserved(nil) diverged from ExecuteContext:\n%+v\n%+v", a, b)
+		t.Errorf("unobserved Build+Run diverged from ExecuteContext:\n%+v\n%+v", a, b)
 	}
 }

@@ -165,6 +165,22 @@ func TestSkippedAndInapplicable(t *testing.T) {
 	}
 }
 
+// TestRuleStatsExist builds a real hybrid machine and checks that every
+// counter name a rule reads is a key of its counter snapshot. The trigger
+// inputs above are synthetic maps, so they cannot notice a renamed counter.
+func TestRuleStatsExist(t *testing.T) {
+	m, err := system.Spec{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := m.CounterSnapshot()
+	for _, name := range statNames {
+		if _, ok := snap[name]; !ok {
+			t.Errorf("rules read %q, which Machine.CounterSnapshot does not report", name)
+		}
+	}
+}
+
 // sweepSpec builds one synthetic sweep point overriding a single knob.
 func sweepSpec(t *testing.T, knob string, value int) system.Spec {
 	t.Helper()

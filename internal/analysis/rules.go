@@ -6,6 +6,19 @@ import (
 	"repro/internal/isa"
 )
 
+// Counter names the rules read from Input.Stats. statNames lists every one
+// so a test can check them against a real machine's counter snapshot: a
+// renamed counter would read 0 and silently mute its rule.
+const (
+	statDRAMReads  = "coherence.dram.reads"
+	statDRAMWrites = "coherence.dram.writes"
+	statL2Accesses = "coherence.l2.accesses"
+	statL2Misses   = "coherence.l2.misses"
+	statDMASnoops  = "coherence.dma.snoops"
+)
+
+var statNames = []string{statDRAMReads, statDRAMWrites, statL2Accesses, statL2Misses, statDMASnoops}
+
 // Thresholds, calibrated against the tiny-scale exhibits so the healthy
 // golden specs stay quiet and the deliberately misconfigured ones fire
 // deterministically (analysis_golden_test.go pins both). They are package
@@ -169,7 +182,7 @@ var Rules = []Rule{
 		Title: "DRAM controllers saturated",
 		Needs: needsStats,
 		Check: func(in *Input) *Finding {
-			lines := in.Stats["coherence.dram.reads"] + in.Stats["coherence.dram.writes"]
+			lines := in.Stats[statDRAMReads] + in.Stats[statDRAMWrites]
 			cfg := in.Config
 			util := ratio(lines*uint64(cfg.MemCyclesPerLn), in.Results.Cycles*uint64(cfg.MemControllers))
 			if util < memWarnUtil {
@@ -193,7 +206,7 @@ var Rules = []Rule{
 		Title: "shared L2 pass-through",
 		Needs: needsStats,
 		Check: func(in *Input) *Finding {
-			acc, miss := in.Stats["coherence.l2.accesses"], in.Stats["coherence.l2.misses"]
+			acc, miss := in.Stats[statL2Accesses], in.Stats[statL2Misses]
 			mr := ratio(miss, acc)
 			if acc < l2WallMinAcc || mr < l2WallRatio {
 				return nil
@@ -312,7 +325,7 @@ var Rules = []Rule{
 		Title: "DMA moving data twice",
 		Needs: needsStats | needsSPM,
 		Check: func(in *Input) *Finding {
-			snoops := in.Stats["coherence.dma.snoops"]
+			snoops := in.Stats[statDMASnoops]
 			lines := in.Results.DMALineTransfers
 			share := ratio(snoops, lines)
 			if lines < dmaDoubleMin || share < dmaDoubleShare {

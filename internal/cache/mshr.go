@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/table"
 )
 
 // MSHR models the miss status holding registers of a cache controller: one
@@ -11,23 +12,17 @@ import (
 // the fill to complete. Secondary misses on the same line coalesce onto the
 // existing entry instead of issuing new requests.
 //
-// The file is a flat open-addressed table (linear probing, backward-shift
-// deletion) with inline entries, sized at twice the entry capacity so probe
-// chains stay short and the table never grows. Waiters are pooled free-list
-// nodes, so steady-state miss coalescing allocates nothing.
+// The file is a table.Table of inline entries sized at twice the entry
+// capacity, so it never reaches the table's 3/4 growth load. Waiters are
+// pooled free-list nodes, so steady-state miss coalescing allocates nothing.
 type MSHR struct {
 	capacity int
-	count    int
-	mask     uint64
-	tab      []mshrSlot
+	tab      table.Table[mshrEntry]
 	freeW    *mshrWaiter
 }
 
-// mshrSlot is one inline table entry. A zero line address is a valid key, so
-// occupancy is tracked by the used flag, not by a sentinel key.
-type mshrSlot struct {
-	line       uint64
-	used       bool
+// mshrEntry is one in-flight fill: its FIFO of coalesced waiters.
+type mshrEntry struct {
 	wantWrite  bool // some waiter needs write permission
 	head, tail *mshrWaiter
 }
@@ -47,55 +42,13 @@ func NewMSHR(capacity int) *MSHR {
 	for size < 2*capacity {
 		size *= 2
 	}
-	return &MSHR{capacity: capacity, mask: uint64(size - 1), tab: make([]mshrSlot, size)}
-}
-
-// ideal returns the home slot of a line (Fibonacci hashing: multiply by the
-// 64-bit golden ratio and mask).
-func (m *MSHR) ideal(line uint64) uint64 {
-	return (line * 0x9E3779B97F4A7C15) & m.mask
-}
-
-// find returns the slot index of line, or -1. Terminates because occupancy
-// is bounded by capacity, which is at most half the table.
-func (m *MSHR) find(line uint64) int {
-	for i := m.ideal(line); ; i = (i + 1) & m.mask {
-		s := &m.tab[i]
-		if !s.used {
-			return -1
-		}
-		if s.line == line {
-			return int(i)
-		}
-	}
-}
-
-// del removes slot i, back-shifting displaced successors so no tombstones
-// accumulate: any later element whose home slot lies cyclically at or before
-// the vacated slot moves into it, and the scan repeats from the new hole.
-func (m *MSHR) del(i uint64) {
-	j := i
-	for {
-		m.tab[i] = mshrSlot{}
-		for {
-			j = (j + 1) & m.mask
-			s := &m.tab[j]
-			if !s.used {
-				return
-			}
-			k := m.ideal(s.line)
-			// Movable when k is cyclically outside (i, j].
-			if (j >= i && (k <= i || k > j)) || (j < i && k <= i && k > j) {
-				m.tab[i] = *s
-				i = j
-				break
-			}
-		}
-	}
+	m := &MSHR{capacity: capacity}
+	m.tab.Init(size)
+	return m
 }
 
 // pushWaiter appends a continuation to the slot's FIFO, reusing pool nodes.
-func (m *MSHR) pushWaiter(s *mshrSlot, c sim.Cont) {
+func (m *MSHR) pushWaiter(s *mshrEntry, c sim.Cont) {
 	w := m.freeW
 	if w != nil {
 		m.freeW = w.next
@@ -113,13 +66,13 @@ func (m *MSHR) pushWaiter(s *mshrSlot, c sim.Cont) {
 }
 
 // Pending reports whether a fill for lineAddr is already in flight.
-func (m *MSHR) Pending(lineAddr uint64) bool { return m.find(lineAddr) >= 0 }
+func (m *MSHR) Pending(lineAddr uint64) bool { return m.tab.Get(lineAddr) != nil }
 
 // Full reports whether no new entry can be allocated.
-func (m *MSHR) Full() bool { return m.count >= m.capacity }
+func (m *MSHR) Full() bool { return m.tab.Len() >= m.capacity }
 
 // InFlight returns the number of allocated entries.
-func (m *MSHR) InFlight() int { return m.count }
+func (m *MSHR) InFlight() int { return m.tab.Len() }
 
 // Allocate creates an entry for lineAddr with one waiter. It reports false
 // (and does nothing) when the file is full. Allocating an already-pending
@@ -131,27 +84,21 @@ func (m *MSHR) Allocate(lineAddr uint64, write bool, waiter sim.Cont) bool {
 	if m.Full() {
 		return false
 	}
-	i := m.ideal(lineAddr)
-	for m.tab[i].used {
-		i = (i + 1) & m.mask
-	}
-	s := &m.tab[i]
-	s.line, s.used, s.wantWrite = lineAddr, true, write
+	s, _ := m.tab.Put(lineAddr)
+	s.wantWrite = write
 	if waiter == nil {
 		waiter = sim.Nop
 	}
 	m.pushWaiter(s, waiter)
-	m.count++
 	return true
 }
 
 // AddWaiter coalesces a secondary miss onto the pending entry.
 func (m *MSHR) AddWaiter(lineAddr uint64, write bool, waiter sim.Cont) {
-	i := m.find(lineAddr)
-	if i < 0 {
+	s := m.tab.Get(lineAddr)
+	if s == nil {
 		panic(fmt.Sprintf("cache: AddWaiter on non-pending line %#x", lineAddr))
 	}
-	s := &m.tab[i]
 	if waiter == nil {
 		waiter = sim.Nop
 	}
@@ -161,21 +108,19 @@ func (m *MSHR) AddWaiter(lineAddr uint64, write bool, waiter sim.Cont) {
 
 // WantsWrite reports whether the pending entry requires write permission.
 func (m *MSHR) WantsWrite(lineAddr uint64) bool {
-	i := m.find(lineAddr)
-	return i >= 0 && m.tab[i].wantWrite
+	s := m.tab.Get(lineAddr)
+	return s != nil && s.wantWrite
 }
 
 // Complete removes the entry and hands each waiter to fire in FIFO order.
 // Waiter nodes return to the pool before fire runs, so a continuation that
 // re-enters the MSHR reuses them immediately.
 func (m *MSHR) Complete(lineAddr uint64, fire func(sim.Cont)) {
-	i := m.find(lineAddr)
-	if i < 0 {
+	s, ok := m.tab.Delete(lineAddr)
+	if !ok {
 		panic(fmt.Sprintf("cache: Complete on non-pending line %#x", lineAddr))
 	}
-	w := m.tab[i].head
-	m.del(uint64(i))
-	m.count--
+	w := s.head
 	for w != nil {
 		n := w.next
 		c := w.c

@@ -18,7 +18,7 @@
 // Liveness is health-checked, not gossiped: a background loop probes every
 // peer's /v1/healthz, and transport failures on the request paths feed the
 // same failure counter, so a peer that dies mid-sweep flips to down after
-// DownAfter consecutive errors without waiting out the poll interval. A
+// DefaultDownAfter consecutive errors without waiting out the poll interval. A
 // down peer leaves the ring (Owner skips it — the automatic rehash), and
 // everything it owned degrades to the next member, or to local compute.
 // All outbound work is bounded: per-peer forward windows with a shed-past
@@ -55,14 +55,20 @@ var ErrSaturated = errors.New("cluster: forward window saturated")
 
 // Defaults for Options zero values.
 const (
-	DefaultVNodes         = 64
 	DefaultForwardWindow  = 32
 	DefaultRetries        = 2
 	DefaultBackoffBase    = 100 * time.Millisecond
 	DefaultHealthInterval = 2 * time.Second
-	DefaultHealthTimeout  = time.Second
-	DefaultDownAfter      = 3
 	maxBackoff            = 5 * time.Second
+)
+
+// Fixed fleet parameters: the virtual nodes per ring member (every member
+// must agree on it), the bound on one health probe, and the consecutive
+// failures that turn a suspect peer down.
+const (
+	DefaultVNodes        = 64
+	DefaultHealthTimeout = time.Second
+	DefaultDownAfter     = 3
 )
 
 // Node is one fleet member: a stable ID (the ring hashes IDs, so identity
@@ -78,10 +84,10 @@ type State int32
 const (
 	// Alive peers answer probes; they own their arc of the ring.
 	Alive State = iota
-	// Suspect peers failed at least one probe but fewer than DownAfter;
+	// Suspect peers failed at least one probe but fewer than DefaultDownAfter;
 	// they keep their arc (a single dropped packet must not move keys).
 	Suspect
-	// Down peers failed DownAfter consecutive probes; the ring skips them
+	// Down peers failed DefaultDownAfter consecutive probes; the ring skips them
 	// until a probe succeeds again.
 	Down
 )
@@ -110,10 +116,6 @@ type Options struct {
 	// be started with an identical list (same IDs) or placement diverges.
 	Peers []Node
 
-	// VNodes is the virtual nodes per member (default DefaultVNodes). All
-	// members must agree on it.
-	VNodes int
-
 	// ForwardWindow bounds concurrent in-flight forwards per peer; past it
 	// callers queue up to ForwardBacklog waiters, then shed (default
 	// DefaultForwardWindow).
@@ -134,16 +136,6 @@ type Options struct {
 	// DefaultHealthInterval, negative disables the loop (tests drive
 	// PollOnce directly).
 	HealthInterval time.Duration
-
-	// HealthTimeout bounds one probe (default DefaultHealthTimeout).
-	HealthTimeout time.Duration
-
-	// DownAfter is the consecutive failures that turn a suspect peer down
-	// (default DefaultDownAfter).
-	DownAfter int
-
-	// HTTP overrides the transport; nil means a dedicated client.
-	HTTP *http.Client
 
 	// Log receives peer state transitions and degradations; nil discards.
 	Log *slog.Logger
@@ -189,9 +181,6 @@ func New(opt Options) (*Cluster, error) {
 	if opt.Self == "" {
 		return nil, errors.New("cluster: empty self ID")
 	}
-	if opt.VNodes < 1 {
-		opt.VNodes = DefaultVNodes
-	}
 	if opt.ForwardWindow < 1 {
 		opt.ForwardWindow = DefaultForwardWindow
 	}
@@ -209,17 +198,8 @@ func New(opt Options) (*Cluster, error) {
 	if opt.HealthInterval == 0 {
 		opt.HealthInterval = DefaultHealthInterval
 	}
-	if opt.HealthTimeout <= 0 {
-		opt.HealthTimeout = DefaultHealthTimeout
-	}
-	if opt.DownAfter < 1 {
-		opt.DownAfter = DefaultDownAfter
-	}
 	if opt.Log == nil {
 		opt.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if opt.HTTP == nil {
-		opt.HTTP = &http.Client{}
 	}
 
 	ids := make([]string, 0, len(opt.Peers))
@@ -250,9 +230,9 @@ func New(opt Options) (*Cluster, error) {
 	c := &Cluster{
 		opt:   opt,
 		self:  opt.Self,
-		ring:  newRing(ids, opt.VNodes),
+		ring:  newRing(ids, DefaultVNodes),
 		peers: peers,
-		http:  opt.HTTP,
+		http:  &http.Client{},
 		log:   opt.Log,
 		done:  make(chan struct{}),
 	}
@@ -510,7 +490,7 @@ func (c *Cluster) healthLoop(ctx context.Context) {
 func (c *Cluster) PollOnce(ctx context.Context) {
 	for _, id := range c.order {
 		p := c.peers[id]
-		hctx, cancel := context.WithTimeout(ctx, c.opt.HealthTimeout)
+		hctx, cancel := context.WithTimeout(ctx, DefaultHealthTimeout)
 		req, err := http.NewRequestWithContext(hctx, http.MethodGet, p.url+"/v1/healthz", nil)
 		if err != nil {
 			cancel()
@@ -540,7 +520,7 @@ func (c *Cluster) PollOnce(ctx context.Context) {
 func (c *Cluster) noteFailure(p *peer, cause error) {
 	fails := p.fails.Add(1)
 	next := Suspect
-	if int(fails) >= c.opt.DownAfter {
+	if int(fails) >= DefaultDownAfter {
 		next = Down
 	}
 	c.transition(p, next, cause)
@@ -587,7 +567,7 @@ type Snapshot struct {
 
 // Info snapshots membership, liveness, and flow-control occupancy.
 func (c *Cluster) Info() Snapshot {
-	s := Snapshot{Self: c.self, VNodes: c.opt.VNodes}
+	s := Snapshot{Self: c.self, VNodes: DefaultVNodes}
 	s.Members = append(s.Members, MemberInfo{ID: c.self, State: Alive.String(), Self: true})
 	for _, id := range c.order {
 		p := c.peers[id]

@@ -17,8 +17,8 @@
 //
 // Hot-path memory discipline: every protocol transaction is a pooled txn
 // node stepping through a (kind, step) state machine instead of a chain of
-// heap-allocated closures, the directory is a flat open-addressed table with
-// inline entries, and counters are pre-interned handles. Steady-state
+// heap-allocated closures, the directory is a table.Table with inline
+// entries, and counters are pre-interned handles. Steady-state
 // simulation allocates nothing per access.
 package coherence
 
@@ -32,6 +32,7 @@ import (
 	"repro/internal/noc"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/table"
 	"repro/internal/telemetry"
 )
 
@@ -117,7 +118,7 @@ type l1cache struct {
 type l2slice struct {
 	node int
 	arr  *cache.Array
-	dir  dirTable
+	dir  table.Table[dirEntry]
 }
 
 // New wires up the hierarchy over an existing mesh and DRAM system.
@@ -147,7 +148,7 @@ func New(eng *sim.Engine, cfg config.Config, mesh *noc.Mesh, dram *mem.System) *
 			node: i,
 			arr:  cache.NewArray(cfg.L2SliceSize, cfg.L2Assoc, cfg.LineSize),
 		}
-		s.dir.init(256)
+		s.dir.Init(256)
 		h.slices = append(h.slices, s)
 	}
 	return h
@@ -198,116 +199,30 @@ func (h *Hierarchy) PrefetchesIssued() uint64 {
 }
 
 // ---------------------------------------------------------------------------
-// Directory table: flat open-addressed hashing with inline entries (linear
-// probing, backward-shift deletion). Entries hold the waiting transactions as
-// an intrusive deque of txn nodes, so queuing and the release-time requeue
-// are O(1) — the old slice-of-closures representation paid an O(n) prepend
-// every time a dequeued transaction lost the race to a newly arrived one.
+// Directory entries. Each holds its waiting transactions as an intrusive
+// deque of txn nodes, so queuing and the release-time requeue are O(1).
 
 // dirEntry is the directory state for one line. owner >= 0 means some L1
 // holds the line in E or M; sharers is a bit-vector of S copies. busy
 // serializes transactions; wqHead/wqTail queue deferred ones.
 type dirEntry struct {
-	line    uint64
 	sharers uint64
 	owner   int32
-	used    bool
 	busy    bool
 	wqHead  *txn
 	wqTail  *txn
 }
 
-type dirTable struct {
-	mask  uint64
-	count int
-	slots []dirEntry
-}
-
-func (d *dirTable) init(size int) {
-	d.slots = make([]dirEntry, size)
-	d.mask = uint64(size - 1)
-	d.count = 0
-}
-
-// ideal returns the home slot of a line (Fibonacci hashing).
-func (d *dirTable) ideal(line uint64) uint64 {
-	return (line * 0x9E3779B97F4A7C15) & d.mask
-}
-
-// find returns the slot index of line, or -1.
-func (d *dirTable) find(line uint64) int {
-	for i := d.ideal(line); ; i = (i + 1) & d.mask {
-		s := &d.slots[i]
-		if !s.used {
-			return -1
-		}
-		if s.line == line {
-			return int(i)
-		}
+// entry returns the slice's directory entry for line, inserting a fresh one
+// (owner -1) if absent. The pointer is valid only until the next insertion:
+// the table grows, so transaction steps re-find their entry rather than
+// caching it.
+func (s *l2slice) entry(line uint64) *dirEntry {
+	e, fresh := s.dir.Put(line)
+	if fresh {
+		e.owner = -1
 	}
-}
-
-// entryFor returns the entry for line, inserting a fresh one (owner -1) if
-// absent. The pointer is valid only until the next insertion: the table
-// grows, so transaction steps re-find their entry rather than caching it.
-func (d *dirTable) entryFor(line uint64) *dirEntry {
-	if d.count*4 >= len(d.slots)*3 {
-		d.grow()
-	}
-	i := d.ideal(line)
-	for {
-		s := &d.slots[i]
-		if !s.used {
-			*s = dirEntry{line: line, owner: -1, used: true}
-			d.count++
-			return s
-		}
-		if s.line == line {
-			return s
-		}
-		i = (i + 1) & d.mask
-	}
-}
-
-func (d *dirTable) grow() {
-	old := d.slots
-	d.slots = make([]dirEntry, 2*len(old))
-	d.mask = uint64(len(d.slots) - 1)
-	for i := range old {
-		if !old[i].used {
-			continue
-		}
-		j := d.ideal(old[i].line)
-		for d.slots[j].used {
-			j = (j + 1) & d.mask
-		}
-		d.slots[j] = old[i]
-	}
-}
-
-// del removes slot i, back-shifting displaced successors so no tombstones
-// accumulate: any later element whose home slot lies cyclically at or before
-// the vacated slot moves into it, and the scan repeats from the new hole.
-func (d *dirTable) del(i uint64) {
-	d.count--
-	j := i
-	for {
-		d.slots[i] = dirEntry{}
-		for {
-			j = (j + 1) & d.mask
-			s := &d.slots[j]
-			if !s.used {
-				return
-			}
-			k := d.ideal(s.line)
-			// Movable when k is cyclically outside (i, j].
-			if (j >= i && (k <= i || k > j)) || (j < i && k <= i && k > j) {
-				d.slots[i] = *s
-				i = j
-				break
-			}
-		}
-	}
+	return e
 }
 
 // ---------------------------------------------------------------------------
@@ -419,7 +334,7 @@ func (t *txn) Fire() {
 	case kFwdWB:
 		s := h.homeOf(t.line)
 		h.l2Fill(s, t.line, true)
-		e := s.dir.entryFor(t.line)
+		e := s.entry(t.line)
 		e.owner = -1
 		e.sharers |= 1<<uint(t.aux) | 1<<uint(t.core)
 		line := t.line
@@ -434,7 +349,7 @@ func (t *txn) Fire() {
 			return
 		}
 		s := h.homeOf(t.line)
-		e := s.dir.entryFor(t.line)
+		e := s.entry(t.line)
 		if e.owner == int32(t.core) {
 			e.owner = -1
 			h.l2Fill(s, t.line, true)
@@ -448,7 +363,7 @@ func (t *txn) Fire() {
 			return
 		}
 		s := h.homeOf(t.line)
-		e := s.dir.entryFor(t.line)
+		e := s.entry(t.line)
 		e.sharers &^= 1 << uint(t.core)
 		if t.flag && e.owner == int32(t.core) {
 			e.owner = -1 // clean E eviction; memory/L2 already valid
@@ -786,7 +701,7 @@ func (h *Hierarchy) fetchExclusive(core int, line uint64, cat noc.Category, reqT
 // goes back to the front of the queue, preserving service order.
 func (h *Hierarchy) dirGate(t *txn) bool {
 	s := h.homeOf(t.line)
-	e := s.dir.entryFor(t.line)
+	e := s.entry(t.line)
 	if e.busy {
 		if t.gated {
 			t.next = e.wqHead
@@ -814,11 +729,10 @@ func (h *Hierarchy) dirGate(t *txn) bool {
 // release unbusies the entry, reschedules the next queued transaction, and
 // garbage collects empty entries.
 func (h *Hierarchy) release(s *l2slice, line uint64) {
-	i := s.dir.find(line)
-	if i < 0 {
+	e := s.dir.Get(line)
+	if e == nil {
 		return
 	}
-	e := &s.dir.slots[i]
 	e.busy = false
 	if e.wqHead != nil {
 		n := e.wqHead
@@ -832,7 +746,7 @@ func (h *Hierarchy) release(s *l2slice, line uint64) {
 		return
 	}
 	if e.owner < 0 && e.sharers == 0 {
-		s.dir.del(uint64(i))
+		s.dir.Delete(line)
 	}
 }
 
@@ -854,7 +768,7 @@ func (h *Hierarchy) dirGetSStep(t *txn) {
 		h.eng.ScheduleCont(sim.Time(h.cfg.L2Latency), t)
 
 	case 1:
-		e := s.dir.entryFor(line)
+		e := s.entry(line)
 		switch {
 		case e.owner >= 0 && e.owner != int32(req):
 			// Forward to owner: owner downgrades to S, sends data
@@ -912,7 +826,7 @@ func (h *Hierarchy) dirGetSStep(t *txn) {
 
 	case 5:
 		h.l2Fill(s, line, false)
-		e := s.dir.entryFor(line)
+		e := s.entry(line)
 		p := t.ptxn
 		allowE := t.allowE
 		h.freeTxn(t)
@@ -947,7 +861,7 @@ func (h *Hierarchy) dirGetMStep(t *txn) {
 		h.eng.ScheduleCont(sim.Time(h.cfg.L2Latency), t)
 
 	case 1:
-		e := s.dir.entryFor(line)
+		e := s.entry(line)
 		switch {
 		case e.owner == int32(req):
 			p := t.ptxn
@@ -1030,7 +944,7 @@ func (h *Hierarchy) dirGetMStep(t *txn) {
 
 	case 7:
 		h.l2Fill(s, line, false)
-		e := s.dir.entryFor(line)
+		e := s.entry(line)
 		e.owner = int32(req)
 		p := t.ptxn
 		h.freeTxn(t)
@@ -1057,7 +971,7 @@ func (h *Hierarchy) invalGetMStep(t *txn) {
 		return
 	}
 	s := h.homeOf(line)
-	e := s.dir.entryFor(line)
+	e := s.entry(line)
 	e.owner = int32(p.core)
 	e.sharers = 0
 	h.grantM(s, p, p.flag)
@@ -1169,7 +1083,7 @@ func (h *Hierarchy) dmaReadStep(t *txn) {
 		h.eng.ScheduleCont(sim.Time(h.cfg.L2Latency), t)
 
 	case 1:
-		e := home.dir.entryFor(line)
+		e := home.entry(line)
 		if e.owner >= 0 && e.owner != int32(core) {
 			h.set.Inc(hDMASnoop)
 			t.aux = int(e.owner)
@@ -1252,7 +1166,7 @@ func (h *Hierarchy) dmaWriteStep(t *txn) {
 
 	case 1:
 		home := h.homeOf(t.line)
-		e := home.dir.entryFor(t.line)
+		e := home.entry(t.line)
 		targets := e.sharers
 		if e.owner >= 0 {
 			targets |= 1 << uint(e.owner)
@@ -1305,7 +1219,7 @@ func (h *Hierarchy) dmaWriteFinish(t *txn) {
 	home := h.homeOf(t.line)
 	core, line, d := t.core, t.line, t.done
 	h.freeTxn(t)
-	e := home.dir.entryFor(line)
+	e := home.entry(line)
 	e.owner = -1
 	e.sharers = 0
 	home.arr.Invalidate(line)
@@ -1329,8 +1243,8 @@ func (h *Hierarchy) L1State(core int, line uint64) int8 {
 // DirOwner returns the directory-recorded owner of a line, or -1.
 func (h *Hierarchy) DirOwner(line uint64) int {
 	s := h.homeOf(line)
-	if i := s.dir.find(line); i >= 0 {
-		return int(s.dir.slots[i].owner)
+	if e := s.dir.Get(line); e != nil {
+		return int(e.owner)
 	}
 	return -1
 }
@@ -1338,8 +1252,8 @@ func (h *Hierarchy) DirOwner(line uint64) int {
 // DirSharers returns the directory-recorded sharer bit-vector of a line.
 func (h *Hierarchy) DirSharers(line uint64) uint64 {
 	s := h.homeOf(line)
-	if i := s.dir.find(line); i >= 0 {
-		return s.dir.slots[i].sharers
+	if e := s.dir.Get(line); e != nil {
+		return e.sharers
 	}
 	return 0
 }
@@ -1350,27 +1264,26 @@ func (h *Hierarchy) DirSharers(line uint64) uint64 {
 // must be named owner by its directory entry (an entry with no owner and no
 // sharers is collected, so only the L1 walk sees an owner it lost).
 func (h *Hierarchy) CheckInvariants() error {
-	for li, s := range h.slices {
-		for i := range s.dir.slots {
-			e := &s.dir.slots[i]
-			if !e.used {
-				continue
-			}
-			line := e.line
-			if e.busy || e.wqHead != nil {
-				return fmt.Errorf("line %#x at slice %d still busy/queued after drain", line, li)
-			}
-			if e.owner >= 0 {
-				if st := h.L1State(int(e.owner), line); st != StateM && st != StateE {
-					return fmt.Errorf("line %#x: dir owner %d but L1 state %d", line, e.owner, st)
-				}
-				if e.sharers != 0 {
-					return fmt.Errorf("line %#x: owner %d with nonempty sharers %b", line, e.owner, e.sharers)
-				}
-			}
-		}
-	}
 	var err error
+	for li, s := range h.slices {
+		s.dir.Each(func(line uint64, e *dirEntry) {
+			if err != nil {
+				return
+			}
+			if e.busy || e.wqHead != nil {
+				err = fmt.Errorf("line %#x at slice %d still busy/queued after drain", line, li)
+				return
+			}
+			if e.owner < 0 {
+				return
+			}
+			if st := h.L1State(int(e.owner), line); st != StateM && st != StateE {
+				err = fmt.Errorf("line %#x: dir owner %d but L1 state %d", line, e.owner, st)
+			} else if e.sharers != 0 {
+				err = fmt.Errorf("line %#x: owner %d with nonempty sharers %b", line, e.owner, e.sharers)
+			}
+		})
+	}
 	for c, l1 := range h.l1d {
 		l1.arr.EachValid(func(l *cache.Line) {
 			if err != nil || (l.State != StateM && l.State != StateE) {

@@ -31,8 +31,8 @@
 // three concurrent strands (buffered cache access, FilterDir resolution,
 // remote-SPM data) are pre-wired sub-continuations; FilterDir transactions
 // and protocol messages are pooled pnode state machines; the oracle and the
-// per-base busy serialization are flat open-addressed tables. Steady-state
-// guarded traffic allocates nothing.
+// per-base busy serialization are table.Tables with inline entries.
+// Steady-state guarded traffic allocates nothing.
 package core
 
 import (
@@ -43,6 +43,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/spm"
 	"repro/internal/stats"
+	"repro/internal/table"
 	"repro/internal/telemetry"
 )
 
@@ -135,7 +136,7 @@ type Protocol struct {
 	// oracle is the authoritative chunk-mapping table. The real protocol
 	// never reads it to divert accesses (only its CAMs); it backs the
 	// ideal-coherence configuration and invariant checks.
-	oracle oracleTab
+	oracle table.Table[mapping]
 
 	recheck RecheckHook
 
@@ -251,7 +252,7 @@ type fdirSlice struct {
 	sharers []uint64
 	use     []uint64
 	tick    uint64
-	busy    busyTab
+	busy    table.Table[busyQueue]
 }
 
 func newFDirSlice(node, entries int) *fdirSlice {
@@ -261,7 +262,7 @@ func newFDirSlice(node, entries int) *fdirSlice {
 		sharers: make([]uint64, entries),
 		use:     make([]uint64, entries),
 	}
-	s.busy.init(16)
+	s.busy.Init(16)
 	return s
 }
 
@@ -304,223 +305,36 @@ func (s *fdirSlice) insert(base uint64, sharerBit uint64) (victimBase, victimSha
 
 func (s *fdirSlice) remove(i int) { s.use[i] = 0; s.sharers[i] = 0 }
 
-// ---------------------------------------------------------------------------
-// Open-addressed tables (linear probing, backward-shift deletion).
-
-// busyTab serializes FilterDir transactions per base: an entry exists while
-// a transaction holds the base, and queued transactions wait on an intrusive
-// deque of pnodes.
-type busyTab struct {
-	mask  uint64
-	count int
-	slots []busySlot
-}
-
-type busySlot struct {
-	base uint64
-	used bool
+// busyQueue is the waiting deque of one busy FilterDir base: an entry in
+// fdirSlice.busy exists while a transaction holds the base, and queued
+// transactions wait on an intrusive deque of pnodes.
+type busyQueue struct {
 	head *pnode
 	tail *pnode
 }
 
-func (b *busyTab) init(size int) {
-	b.slots = make([]busySlot, size)
-	b.mask = uint64(size - 1)
-}
-
-func (b *busyTab) ideal(base uint64) uint64 {
-	return (base * 0x9E3779B97F4A7C15) & b.mask
-}
-
-func (b *busyTab) find(base uint64) int {
-	for i := b.ideal(base); ; i = (i + 1) & b.mask {
-		s := &b.slots[i]
-		if !s.used {
-			return -1
-		}
-		if s.base == base {
-			return int(i)
-		}
-	}
-}
-
-// acquire marks base busy, returning false when it already was.
-func (b *busyTab) acquire(base uint64) bool {
-	if b.find(base) >= 0 {
-		return false
-	}
-	if b.count*4 >= len(b.slots)*3 {
-		b.grow()
-	}
-	i := b.ideal(base)
-	for b.slots[i].used {
-		i = (i + 1) & b.mask
-	}
-	b.slots[i] = busySlot{base: base, used: true}
-	b.count++
-	return true
-}
-
-func (b *busyTab) grow() {
-	old := b.slots
-	b.slots = make([]busySlot, 2*len(old))
-	b.mask = uint64(len(b.slots) - 1)
-	for i := range old {
-		if !old[i].used {
-			continue
-		}
-		j := b.ideal(old[i].base)
-		for b.slots[j].used {
-			j = (j + 1) & b.mask
-		}
-		b.slots[j] = old[i]
-	}
-}
-
-// queue appends n to base's waiting deque (base must be busy).
-func (b *busyTab) queue(base uint64, n *pnode) {
-	s := &b.slots[b.find(base)]
+func (q *busyQueue) push(n *pnode) {
 	n.next = nil
-	if s.tail == nil {
-		s.head = n
+	if q.tail == nil {
+		q.head = n
 	} else {
-		s.tail.next = n
+		q.tail.next = n
 	}
-	s.tail = n
+	q.tail = n
 }
 
-// release removes base's entry and returns the head of its waiting deque.
-func (b *busyTab) release(base uint64) *pnode {
-	i := b.find(base)
-	if i < 0 {
-		return nil
-	}
-	head := b.slots[i].head
-	b.del(uint64(i))
-	return head
-}
-
-func (b *busyTab) del(i uint64) {
-	b.count--
-	j := i
-	for {
-		b.slots[i] = busySlot{}
-		for {
-			j = (j + 1) & b.mask
-			s := &b.slots[j]
-			if !s.used {
-				return
-			}
-			k := b.ideal(s.base)
-			if (j >= i && (k <= i || k > j)) || (j < i && k <= i && k > j) {
-				b.slots[i] = *s
-				i = j
-				break
-			}
-		}
-	}
-}
-
-// oracleTab maps a GM base address to its current SPM mapping.
-type oracleTab struct {
-	mask  uint64
-	count int
-	slots []oracleSlot
-}
-
-type oracleSlot struct {
-	base   uint64
-	used   bool
+// mapping is where the oracle places a GM base: a core and its SPM buffer.
+type mapping struct {
 	core   int32
 	bufIdx int32
 }
 
-func (o *oracleTab) init(size int) {
-	o.slots = make([]oracleSlot, size)
-	o.mask = uint64(size - 1)
-}
-
-func (o *oracleTab) ideal(base uint64) uint64 {
-	return (base * 0x9E3779B97F4A7C15) & o.mask
-}
-
-func (o *oracleTab) find(base uint64) int {
-	for i := o.ideal(base); ; i = (i + 1) & o.mask {
-		s := &o.slots[i]
-		if !s.used {
-			return -1
-		}
-		if s.base == base {
-			return int(i)
-		}
+// oracleGet returns the oracle's placement of base.
+func (p *Protocol) oracleGet(base uint64) (core, bufIdx int, ok bool) {
+	if m := p.oracle.Get(base); m != nil {
+		return int(m.core), int(m.bufIdx), true
 	}
-}
-
-func (o *oracleTab) get(base uint64) (core, bufIdx int, ok bool) {
-	i := o.find(base)
-	if i < 0 {
-		return 0, 0, false
-	}
-	return int(o.slots[i].core), int(o.slots[i].bufIdx), true
-}
-
-func (o *oracleTab) put(base uint64, core, bufIdx int) {
-	if i := o.find(base); i >= 0 {
-		o.slots[i].core = int32(core)
-		o.slots[i].bufIdx = int32(bufIdx)
-		return
-	}
-	if o.count*4 >= len(o.slots)*3 {
-		o.grow()
-	}
-	i := o.ideal(base)
-	for o.slots[i].used {
-		i = (i + 1) & o.mask
-	}
-	o.slots[i] = oracleSlot{base: base, used: true, core: int32(core), bufIdx: int32(bufIdx)}
-	o.count++
-}
-
-func (o *oracleTab) grow() {
-	old := o.slots
-	o.slots = make([]oracleSlot, 2*len(old))
-	o.mask = uint64(len(o.slots) - 1)
-	for i := range old {
-		if !old[i].used {
-			continue
-		}
-		j := o.ideal(old[i].base)
-		for o.slots[j].used {
-			j = (j + 1) & o.mask
-		}
-		o.slots[j] = old[i]
-	}
-}
-
-func (o *oracleTab) delete(base uint64) {
-	i := o.find(base)
-	if i < 0 {
-		return
-	}
-	o.count--
-	j := uint64(i)
-	k := j
-	for {
-		o.slots[j] = oracleSlot{}
-		for {
-			k = (k + 1) & o.mask
-			s := &o.slots[k]
-			if !s.used {
-				return
-			}
-			h := o.ideal(s.base)
-			if (k >= j && (h <= j || h > k)) || (k < j && h <= j && h > k) {
-				o.slots[j] = *s
-				j = k
-				break
-			}
-		}
-	}
+	return 0, 0, false
 }
 
 // New builds the protocol engine. spms must hold one SPM per core; amap is
@@ -543,7 +357,7 @@ func New(eng *sim.Engine, cfg config.Config, mesh *noc.Mesh, gm GM, spms []*spm.
 		offsetMask: make([]uint64, cfg.Cores),
 		set:        protReg.NewCounters("spmcoh"),
 	}
-	p.oracle.init(64)
+	p.oracle.Init(64)
 	perSlice := cfg.FilterDirEntries / cfg.Cores
 	if perSlice <= 0 {
 		perSlice = 1
@@ -873,21 +687,22 @@ func (p *Protocol) NotifyMap(core int, gmAddr, spmAddr uint64, bytes int) {
 	d := p.spmdirs[core]
 	if d.valid[bufIdx] {
 		old := d.base[bufIdx]
-		if c, b, ok := p.oracle.get(old); ok && c == core && b == bufIdx {
-			p.oracle.delete(old)
+		if c, b, ok := p.oracleGet(old); ok && c == core && b == bufIdx {
+			p.oracle.Delete(old)
 		}
 	}
 	// Array sections are private to one thread (fork-join, §2.2), so a
 	// chunk lives in at most one SPM. Re-mapping by another core migrates
 	// it: the previous mapper's SPMDir entry is cleared.
-	if pc, pb, ok := p.oracle.get(base); ok && pc != core {
+	if pc, pb, ok := p.oracleGet(base); ok && pc != core {
 		pd := p.spmdirs[pc]
 		if pd.valid[pb] && pd.base[pb] == base {
 			pd.valid[pb] = false
 		}
 	}
 	d.set(bufIdx, base)
-	p.oracle.put(base, core, bufIdx)
+	m, _ := p.oracle.Put(base)
+	*m = mapping{core: int32(core), bufIdx: int32(bufIdx)}
 	p.set.Inc(hSPMDirUpd)
 
 	if p.ideal {
@@ -921,7 +736,7 @@ func (p *Protocol) invalidateFilters(fromNode int, base uint64, sharers uint64) 
 // Mapped reports where a GM base address is currently mapped (oracle view;
 // used by tests, the ideal protocol, and assertions).
 func (p *Protocol) Mapped(base uint64) (core int, ok bool) {
-	core, _, ok = p.oracle.get(base)
+	core, _, ok = p.oracleGet(base)
 	return core, ok
 }
 
@@ -1061,8 +876,8 @@ func (p *Protocol) resolveStep(n *pnode) {
 	req, base := n.core, n.base
 
 	// Serialize transactions on the same base at the home slice.
-	if !home.busy.acquire(base) {
-		home.busy.queue(base, n)
+	if q, fresh := home.busy.Put(base); !fresh {
+		q.push(n)
 		return
 	}
 
@@ -1099,7 +914,8 @@ func (p *Protocol) resolveStep(n *pnode) {
 // releaseBusy unlocks base at the home slice and reschedules every deferred
 // transaction; they re-enter resolveStep and re-serialize in order.
 func (p *Protocol) releaseBusy(home *fdirSlice, base uint64) {
-	for n := home.busy.release(base); n != nil; {
+	q, _ := home.busy.Delete(base)
+	for n := q.head; n != nil; {
 		nx := n.next
 		n.next = nil
 		p.eng.ScheduleCont(0, n)
@@ -1177,7 +993,7 @@ func (p *Protocol) broadcastStep(n *pnode) {
 // physically lives in a remote SPM still has to cross the NoC.
 func (p *Protocol) idealAccess(t *gtxn, addr, pc, base, off uint64) {
 	core, isStore := t.core, t.isStore
-	ocore, obuf, ok := p.oracle.get(base)
+	ocore, obuf, ok := p.oracleGet(base)
 	switch {
 	case !ok:
 		t.kind = gCache

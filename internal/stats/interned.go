@@ -36,13 +36,10 @@ func (r *Reg) Handle(name string) Handle {
 	return h
 }
 
-// Len returns the number of registered counters.
-func (r *Reg) Len() int { return len(r.names) }
-
 // Counters is an interned counter set: one slot per registered name. It
-// renders and snapshots exactly like Set — only touched (nonzero) counters
-// appear, sorted by name — so swapping a component from Set to Counters is
-// invisible in report output.
+// renders exactly like Set — only touched (nonzero) counters appear, sorted
+// by name — so swapping a component from Set to Counters is invisible in
+// report output.
 type Counters struct {
 	name string
 	reg  *Reg
@@ -53,9 +50,6 @@ type Counters struct {
 func (r *Reg) NewCounters(name string) *Counters {
 	return &Counters{name: name, reg: r, v: make([]uint64, len(r.names))}
 }
-
-// Name returns the set's name.
-func (c *Counters) Name() string { return c.name }
 
 // Inc increments the counter by one.
 func (c *Counters) Inc(h Handle) { c.v[h]++ }
@@ -77,15 +71,6 @@ func (c *Counters) Get(name string) uint64 {
 	return c.v[h]
 }
 
-// Total sums every counter.
-func (c *Counters) Total() uint64 {
-	var t uint64
-	for _, v := range c.v {
-		t += v
-	}
-	return t
-}
-
 // Keys returns the touched (nonzero) counter names in sorted order.
 func (c *Counters) Keys() []string {
 	keys := make([]string, 0, len(c.v))
@@ -105,24 +90,6 @@ func (c *Counters) AllNames() []string {
 	out := make([]string, len(c.reg.names))
 	copy(out, c.reg.names)
 	return out
-}
-
-// Snapshot returns the touched counters as a map, matching Set.Snapshot.
-func (c *Counters) Snapshot() map[string]uint64 {
-	out := make(map[string]uint64, len(c.v))
-	for i, v := range c.v {
-		if v != 0 {
-			out[c.reg.names[i]] = v
-		}
-	}
-	return out
-}
-
-// Reset zeroes every counter.
-func (c *Counters) Reset() {
-	for i := range c.v {
-		c.v[i] = 0
-	}
 }
 
 // String renders the set one counter per line, byte-compatible with

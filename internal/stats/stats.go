@@ -21,9 +21,6 @@ func NewSet(name string) *Set {
 	return &Set{name: name, m: make(map[string]uint64)}
 }
 
-// Name returns the set's name.
-func (s *Set) Name() string { return s.name }
-
 // Add increments counter key by n.
 func (s *Set) Add(key string, n uint64) { s.m[key] += n }
 
@@ -33,15 +30,6 @@ func (s *Set) Inc(key string) { s.m[key]++ }
 // Get returns the current value of key (zero if never touched).
 func (s *Set) Get(key string) uint64 { return s.m[key] }
 
-// Total sums every counter in the set.
-func (s *Set) Total() uint64 {
-	var t uint64
-	for _, v := range s.m {
-		t += v
-	}
-	return t
-}
-
 // Keys returns the touched counter names in sorted order.
 func (s *Set) Keys() []string {
 	keys := make([]string, 0, len(s.m))
@@ -50,29 +38,6 @@ func (s *Set) Keys() []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// Snapshot returns a copy of the underlying counters.
-func (s *Set) Snapshot() map[string]uint64 {
-	out := make(map[string]uint64, len(s.m))
-	for k, v := range s.m {
-		out[k] = v
-	}
-	return out
-}
-
-// AddSet merges other into s (element-wise add).
-func (s *Set) AddSet(other *Set) {
-	for k, v := range other.m {
-		s.m[k] += v
-	}
-}
-
-// Reset zeroes every counter.
-func (s *Set) Reset() {
-	for k := range s.m {
-		delete(s.m, k)
-	}
 }
 
 // String renders the set one counter per line, sorted by key.

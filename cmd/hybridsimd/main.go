@@ -291,14 +291,9 @@ func runClient(base, benchName, workloadFlag, sysName, scaleName string, cores i
 		if err != nil {
 			fatalf("%v", err)
 		}
-		total := st.Cache.Hits + st.Cache.Misses
-		rate := 0.0
-		if total > 0 {
-			rate = float64(st.Cache.Hits) / float64(total)
-		}
-		fmt.Printf("cache: entries=%d/%d hits=%d (mem=%d disk=%d dedup=%d) misses=%d hit-rate=%.2f%%\n",
+		fmt.Printf("cache: entries=%d/%d hits=%d (mem=%d disk=%d) misses=%d hit-rate=%s\n",
 			st.Cache.Entries, st.Cache.Capacity, st.Cache.Hits, st.Cache.MemHits,
-			st.Cache.DiskHits, st.Cache.Dedup, st.Cache.Misses, rate*100)
+			st.Cache.DiskHits, st.Cache.Misses, hitRate(st.Cache))
 		fmt.Printf("queue: depth=%d/%d workers=%d\n", st.QueueDepth, st.QueueCap, st.Workers)
 		fmt.Printf("runs:  submitted=%d completed=%d failed=%d rejected=%d\n",
 			st.Submitted, st.Completed, st.Failed, st.Rejected)

@@ -5,8 +5,8 @@
 // member IDs (ring.go). A run's canonical Spec.Hash() is its shard key: the
 // first live member clockwise of the key owns it, so any Spec has exactly
 // one place it is supposed to be computed and cached — cross-node
-// singleflight falls out of routing every computation to the owner, whose
-// local rescache singleflight dedupes the rest.
+// deduplication falls out of routing every computation to the owner, whose
+// in-flight job registry merges concurrent requests for it.
 //
 // On top of the ring this package provides the one peering verb the service
 // layer composes into its request pipeline: Forward, a bounded, retrying

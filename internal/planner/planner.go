@@ -7,7 +7,7 @@
 // Strategies are data, like knobs and analysis rules: a table in
 // strategies.go that a drift test walks. Every probe is an ordinary Spec
 // executed through whatever Prober the caller supplies — the in-process
-// runner, or the daemon's cache → singleflight → cluster path — so probes
+// runner, or the daemon's cache → in-flight registry → cluster path — so probes
 // land in the content-addressed cache and a repeated question replays from
 // it. Probe sequences are deterministic: axis values are sorted and
 // deduplicated up front, every tie among equally good points breaks toward
@@ -349,7 +349,7 @@ func (g *grid) axes(at []int) map[string]int {
 // Probing
 
 // Prober executes one Spec and reports whether the result was served from
-// cache. The service wraps its cache → singleflight → cluster path in one;
+// cache. The service wraps its cache → in-flight registry → cluster path in one;
 // LocalProber runs in-process.
 type Prober interface {
 	Probe(ctx context.Context, sp system.Spec) (system.Results, bool, error)

@@ -4,15 +4,15 @@
 // seed — DESIGN.md §8), so Results can be memoized forever under the Spec's
 // canonical Hash. The cache is two-tiered: a bounded in-memory LRU for the
 // hot set, and an optional on-disk JSON tier (one file per hash) that
-// survives restarts. Concurrent requests for the same Spec are deduplicated
-// with a singleflight, so N callers cost one Execute.
+// survives restarts. The cache does not deduplicate concurrent runs of one
+// Spec: its callers do that before they get here (the daemon's in-flight
+// registry, DESIGN.md §12).
 package rescache
 
 import (
 	"container/list"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"os"
@@ -30,16 +30,15 @@ type Entry struct {
 	Res  system.Results `json:"results"`
 }
 
-// Stats counts cache traffic. Hits covers both tiers plus singleflight
-// followers — every request that did not pay for an Execute of its own.
+// Stats counts cache traffic. Hits is MemHits + DiskHits: every lookup
+// answered without an Execute.
 type Stats struct {
 	Entries   int    `json:"entries"`  // memory-tier population
 	Capacity  int    `json:"capacity"` // memory-tier bound
 	Hits      uint64 `json:"hits"`
 	MemHits   uint64 `json:"mem_hits"`
 	DiskHits  uint64 `json:"disk_hits"`
-	Dedup     uint64 `json:"deduplicated"` // callers that joined an in-flight run
-	Misses    uint64 `json:"misses"`       // requests that executed
+	Misses    uint64 `json:"misses"` // requests that executed
 	Evictions uint64 `json:"evictions"`
 
 	// DiskErrors counts disk-tier entries that were present but unusable —
@@ -58,18 +57,9 @@ type Cache struct {
 	log *slog.Logger
 
 	mu      sync.Mutex
-	ll      *list.List               // MRU at front; values are *Entry
+	ll      *list.List               // MRU at front; values are *entryNode
 	entries map[string]*list.Element // hash -> element
-	flights map[string]*flight
 	stats   Stats
-}
-
-// flight is one in-progress fill; followers block on done and share the
-// leader's outcome.
-type flight struct {
-	done chan struct{}
-	res  system.Results
-	err  error
 }
 
 // New builds a cache holding up to capacity entries in memory. A non-empty
@@ -89,7 +79,6 @@ func New(capacity int, dir string) (*Cache, error) {
 		dir:     dir,
 		ll:      list.New(),
 		entries: make(map[string]*list.Element),
-		flights: make(map[string]*flight),
 	}, nil
 }
 
@@ -111,129 +100,76 @@ func (c *Cache) Stats() Stats {
 	s := c.stats
 	s.Entries = c.ll.Len()
 	s.Capacity = c.cap
+	s.Hits = s.MemHits + s.DiskHits
 	return s
 }
 
 // Get reports the cached Results for spec, consulting memory then disk.
 func (c *Cache) Get(spec system.Spec) (system.Results, bool) {
-	return c.GetKey(spec.Hash())
-}
-
-// GetKey is Get addressed by a canonical hash directly — the form a service
-// poll URL carries.
-func (c *Cache) GetKey(key string) (system.Results, bool) {
-	e, ok := c.EntryKey(key)
-	return e.Res, ok
+	if e, ok := c.get(spec.Hash()); ok {
+		return e.Res, true
+	}
+	return system.Results{}, false
 }
 
 // EntryKey returns the full cached entry — Spec and Results — for a hash,
 // consulting memory then disk. Disk hits are promoted into memory.
 func (c *Cache) EntryKey(key string) (Entry, bool) {
+	if e, ok := c.get(key); ok {
+		return *e, true
+	}
+	return Entry{}, false
+}
+
+// get is the lookup behind Get, EntryKey and GetOrRun. The entry is shared
+// with the memory tier, which never mutates a stored entry, so callers
+// copy out what they need and never write through it.
+func (c *Cache) get(key string) (*Entry, bool) {
 	c.mu.Lock()
 	if e, ok := c.lookupLocked(key); ok {
-		c.stats.Hits++
 		c.stats.MemHits++
 		c.mu.Unlock()
 		return e, true
 	}
 	c.mu.Unlock()
-	if e, ok := c.diskGet(key); ok {
-		c.mu.Lock()
-		c.storeLocked(key, e)
-		c.stats.Hits++
-		c.stats.DiskHits++
-		c.mu.Unlock()
-		return e, true
+	e, ok := c.diskGet(key)
+	if !ok {
+		return nil, false
 	}
-	return Entry{}, false
+	c.mu.Lock()
+	c.storeLocked(key, e)
+	c.stats.DiskHits++
+	c.mu.Unlock()
+	return e, true
 }
 
-// GetOrRun returns the cached Results for spec, executing run exactly once
-// per key on a miss no matter how many callers race. hit reports whether
-// this caller avoided an Execute of its own (memory, disk, or another
-// caller's in-flight run). Failed runs are never cached: the error is
-// shared with the followers of that flight, then forgotten so a later
-// request retries. A flight that died of its *leader's* cancellation is
-// not inherited: a follower whose own context is still live retries (and
-// becomes the new leader), so one client's disconnect cannot fail an
-// unrelated request that happened to share the Spec.
+// GetOrRun returns the cached Results for spec, or executes run and stores
+// its Results in both tiers. hit reports whether the answer came from
+// memory or disk. Failed runs are never cached, so a later request retries.
+// Concurrent callers with one Spec each execute: deduplicating them is the
+// caller's job.
 func (c *Cache) GetOrRun(ctx context.Context, spec system.Spec, run func(context.Context) (system.Results, error)) (res system.Results, hit bool, err error) {
 	key := spec.Hash()
-	for {
+	if e, ok := c.get(key); ok {
+		return e.Res, true, nil
+	}
+	res, err = run(ctx)
+	if err != nil {
 		c.mu.Lock()
-		if e, ok := c.lookupLocked(key); ok {
-			c.stats.Hits++
-			c.stats.MemHits++
-			c.mu.Unlock()
-			return e.Res, true, nil
-		}
-		f, inFlight := c.flights[key]
-		if !inFlight {
-			break
-		}
-		c.stats.Hits++
-		c.stats.Dedup++
+		c.stats.Misses++
 		c.mu.Unlock()
-		select {
-		case <-f.done:
-			if isContextErr(f.err) && ctx.Err() == nil {
-				continue // the leader was canceled, this caller was not
-			}
-			return f.res, true, f.err
-		case <-ctx.Done():
-			return system.Results{}, false, ctx.Err()
-		}
+		return res, false, err
 	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[key] = f
-	c.mu.Unlock()
-
-	// This caller is the flight leader: check the disk tier (I/O stays
-	// outside the lock, inside the flight so it happens once), then run.
-	if e, ok := c.diskGet(key); ok {
-		f.res = e.Res
-		c.mu.Lock()
-		c.storeLocked(key, e)
-		c.stats.Hits++
-		c.stats.DiskHits++
-		delete(c.flights, key)
-		c.mu.Unlock()
-		close(f.done)
-		return f.res, true, nil
-	}
-
-	f.res, f.err = run(ctx)
-	c.mu.Lock()
-	c.stats.Misses++
-	if f.err == nil {
-		c.storeLocked(key, Entry{Spec: spec, Res: f.res})
-	}
-	delete(c.flights, key)
-	c.mu.Unlock()
-	close(f.done)
-	if f.err == nil && c.dir != "" {
-		// Disk persistence is best-effort; a read-only disk must not fail
-		// the run that produced a perfectly good result.
-		c.diskPutLogged(key, Entry{Spec: spec, Res: f.res})
-	}
-	return f.res, false, f.err
+	c.store(key, &Entry{Spec: spec, Res: res}, &c.stats.Misses)
+	return res, false, nil
 }
 
-// Put fills the cache with an already-executed result, both tiers. It exists
-// for callers that run a Spec outside GetOrRun (a telemetry re-run of a
-// cached result, which must execute again to record its timeline) but
-// still want the result memoized for everyone else. The fill counts as a
-// miss: the run happened.
+// Put fills both tiers with an already-executed result, as GetOrRun does
+// after a run. It serves callers that run a Spec themselves (a run
+// recording a timeline) but still want the result memoized for everyone
+// else. The fill counts as a miss: the run happened.
 func (c *Cache) Put(spec system.Spec, res system.Results) {
-	key := spec.Hash()
-	e := Entry{Spec: spec, Res: res}
-	c.mu.Lock()
-	c.stats.Misses++
-	c.storeLocked(key, e)
-	c.mu.Unlock()
-	if c.dir != "" {
-		c.diskPutLogged(key, e) // best-effort, like GetOrRun
-	}
+	c.store(spec.Hash(), &Entry{Spec: spec, Res: res}, &c.stats.Misses)
 }
 
 // FillPeer adopts a result computed elsewhere in the fleet — the answer of
@@ -241,43 +177,33 @@ func (c *Cache) Put(spec system.Spec, res system.Results) {
 // neither a hit nor a miss (no local lookup or Execute happened) but a
 // PeerFill, so per-node hit rates stay honest in cluster mode.
 func (c *Cache) FillPeer(spec system.Spec, res system.Results) {
-	key := spec.Hash()
-	e := Entry{Spec: spec, Res: res}
+	c.store(spec.Hash(), &Entry{Spec: spec, Res: res}, &c.stats.PeerFills)
+}
+
+// store counts one fill on the counter n and writes e to both tiers. Disk
+// persistence is best-effort: a read-only disk must not fail the run that
+// produced a perfectly good result, so a write error is logged and dropped.
+func (c *Cache) store(key string, e *Entry, n *uint64) {
 	c.mu.Lock()
-	c.stats.PeerFills++
+	*n++
 	c.storeLocked(key, e)
 	c.mu.Unlock()
-	if c.dir != "" {
-		c.diskPutLogged(key, e) // best-effort, like GetOrRun
+	if c.dir == "" {
+		return
 	}
-}
-
-// Contains reports whether key is resident in either tier without touching
-// the hit counters or promoting anything.
-func (c *Cache) Contains(key string) bool {
-	c.mu.Lock()
-	_, ok := c.entries[key]
-	c.mu.Unlock()
-	if ok || c.dir == "" {
-		return ok
+	if err := c.diskPut(key, e); err != nil {
+		c.logWarn("rescache: disk write failed", "key", key, "err", err)
 	}
-	_, err := os.Stat(c.path(key))
-	return err == nil
-}
-
-// isContextErr reports whether err is (or wraps) a cancellation.
-func isContextErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // lookupLocked finds key in the memory tier and marks it most-recent.
-func (c *Cache) lookupLocked(key string) (Entry, bool) {
+func (c *Cache) lookupLocked(key string) (*Entry, bool) {
 	el, ok := c.entries[key]
 	if !ok {
-		return Entry{}, false
+		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return *el.Value.(*entryNode).e, true
+	return el.Value.(*entryNode).e, true
 }
 
 // entryNode carries the key alongside the Entry so eviction can unmap it.
@@ -288,26 +214,18 @@ type entryNode struct {
 
 // storeLocked inserts (or refreshes) key as most-recent and evicts the
 // least-recent entry past capacity.
-func (c *Cache) storeLocked(key string, e Entry) {
+func (c *Cache) storeLocked(key string, e *Entry) {
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*entryNode).e = &e
+		el.Value.(*entryNode).e = e
 		return
 	}
-	c.entries[key] = c.ll.PushFront(&entryNode{key: key, e: &e})
+	c.entries[key] = c.ll.PushFront(&entryNode{key: key, e: e})
 	for c.ll.Len() > c.cap {
 		last := c.ll.Back()
 		c.ll.Remove(last)
 		delete(c.entries, last.Value.(*entryNode).key)
 		c.stats.Evictions++
-	}
-}
-
-// diskPutLogged is diskPut for callers that treat persistence as
-// best-effort: the error is logged and dropped.
-func (c *Cache) diskPutLogged(key string, e Entry) {
-	if err := c.diskPut(key, e); err != nil {
-		c.logWarn("rescache: disk write failed", "key", key, "err", err)
 	}
 }
 
@@ -321,25 +239,25 @@ func (c *Cache) path(key string) string {
 // to its file name) are skipped — logged and counted in DiskErrors, never
 // surfaced as lookup failures — so one bad file costs a re-execute, not an
 // outage. A missing file is an ordinary miss.
-func (c *Cache) diskGet(key string) (Entry, bool) {
+func (c *Cache) diskGet(key string) (*Entry, bool) {
 	if c.dir == "" {
-		return Entry{}, false
+		return nil, false
 	}
 	b, err := os.ReadFile(c.path(key))
 	if err != nil {
 		if !os.IsNotExist(err) {
 			c.diskError(key, err)
 		}
-		return Entry{}, false
+		return nil, false
 	}
-	var e Entry
-	if err := json.Unmarshal(b, &e); err != nil {
+	e := new(Entry)
+	if err := json.Unmarshal(b, e); err != nil {
 		c.diskError(key, fmt.Errorf("corrupt entry: %w", err))
-		return Entry{}, false
+		return nil, false
 	}
 	if got := e.Spec.Hash(); got != key {
 		c.diskError(key, fmt.Errorf("entry hashes to %s, not its file name", got))
-		return Entry{}, false
+		return nil, false
 	}
 	return e, true
 }
@@ -354,7 +272,7 @@ func (c *Cache) diskError(key string, err error) {
 
 // diskPut writes one entry atomically (temp file + rename), so a crashed or
 // concurrent writer can never leave a torn file a reader would half-parse.
-func (c *Cache) diskPut(key string, e Entry) error {
+func (c *Cache) diskPut(key string, e *Entry) error {
 	b, err := json.MarshalIndent(e, "", "  ")
 	if err != nil {
 		return err

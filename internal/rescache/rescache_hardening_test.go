@@ -71,33 +71,7 @@ func TestFillPeerCountsNeitherHitNorMiss(t *testing.T) {
 	}
 	// And the fill persisted to disk: a fresh cache over the same dir hits.
 	c2 := mustNew(t, 8, dir)
-	if _, ok := c2.GetKey(sp.Hash()); !ok {
+	if _, ok := c2.Get(sp); !ok {
 		t.Fatal("peer fill did not reach the disk tier")
-	}
-}
-
-// TestContainsProbesWithoutCounting: Contains is the cluster's routing
-// probe — it must see both tiers and never move the traffic counters.
-func TestContainsProbesWithoutCounting(t *testing.T) {
-	dir := t.TempDir()
-	c := mustNew(t, 8, dir)
-	sp := spec(8)
-	if c.Contains(sp.Hash()) {
-		t.Fatal("empty cache claims to contain the key")
-	}
-	if _, _, err := c.GetOrRun(context.Background(), sp, fakeRun(new(int), 1)); err != nil {
-		t.Fatal(err)
-	}
-	before := c.Stats()
-	if !c.Contains(sp.Hash()) {
-		t.Fatal("cache denies a key it just stored")
-	}
-	// Disk-only residency (fresh cache, same dir) must count too.
-	c2 := mustNew(t, 8, dir)
-	if !c2.Contains(sp.Hash()) {
-		t.Fatal("Contains missed a disk-tier entry")
-	}
-	if after := c.Stats(); after.Hits != before.Hits || after.Misses != before.Misses {
-		t.Fatalf("Contains moved counters: %+v -> %+v", before, after)
 	}
 }

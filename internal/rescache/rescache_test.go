@@ -10,9 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/config"
 	"repro/internal/system"
@@ -71,95 +69,6 @@ func TestGetOrRunExecutesOnceThenHits(t *testing.T) {
 	st := c.Stats()
 	if st.Misses != 1 || st.Hits != 1 || st.MemHits != 1 {
 		t.Fatalf("stats = %+v, want 1 miss, 1 mem hit", st)
-	}
-}
-
-func TestSingleflightDeduplicatesConcurrentCallers(t *testing.T) {
-	c := mustNew(t, 8, "")
-	started := make(chan struct{})
-	release := make(chan struct{})
-	calls := 0
-	leaderDone := make(chan struct{})
-	go func() {
-		defer close(leaderDone)
-		_, _, err := c.GetOrRun(context.Background(), spec(8), func(context.Context) (system.Results, error) {
-			calls++
-			close(started)
-			<-release
-			return system.Results{Cycles: 7}, nil
-		})
-		if err != nil {
-			t.Errorf("leader: %v", err)
-		}
-	}()
-	<-started // the flight is registered: every caller below must join it
-
-	const followers = 8
-	var wg sync.WaitGroup
-	results := make([]system.Results, followers)
-	hits := make([]bool, followers)
-	for i := 0; i < followers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, hit, err := c.GetOrRun(context.Background(), spec(8), func(context.Context) (system.Results, error) {
-				t.Error("follower executed the run")
-				return system.Results{}, nil
-			})
-			if err != nil {
-				t.Errorf("follower %d: %v", i, err)
-			}
-			results[i], hits[i] = res, hit
-		}(i)
-	}
-	// Followers block on the flight; releasing the leader resolves them all.
-	waitForDedup(t, c, followers)
-	close(release)
-	wg.Wait()
-	<-leaderDone
-
-	for i := range results {
-		if !hits[i] || results[i].Cycles != 7 {
-			t.Fatalf("follower %d: hit=%v res=%+v, want shared hit", i, hits[i], results[i])
-		}
-	}
-	if calls != 1 {
-		t.Fatalf("run executed %d times for %d callers, want 1", calls, followers+1)
-	}
-	if st := c.Stats(); st.Dedup != followers {
-		t.Fatalf("Dedup = %d, want %d", st.Dedup, followers)
-	}
-}
-
-// waitForDedup waits until all followers have registered on the flight, so
-// the release cannot race ahead of a slow goroutine start.
-func waitForDedup(t *testing.T, c *Cache, n uint64) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for c.Stats().Dedup != n {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d followers joined the flight", c.Stats().Dedup, n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestFollowerContextCancellation(t *testing.T) {
-	c := mustNew(t, 8, "")
-	started := make(chan struct{})
-	release := make(chan struct{})
-	defer close(release)
-	go c.GetOrRun(context.Background(), spec(8), func(context.Context) (system.Results, error) {
-		close(started)
-		<-release
-		return system.Results{}, nil
-	})
-	<-started
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, _, err := c.GetOrRun(ctx, spec(8), fakeRun(new(int), 0))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("follower err = %v, want context.Canceled", err)
 	}
 }
 
@@ -294,48 +203,6 @@ func TestErrorsAreNotCached(t *testing.T) {
 func TestNewRejectsBadCapacity(t *testing.T) {
 	if _, err := New(0, ""); err == nil || !strings.Contains(err.Error(), "capacity") {
 		t.Fatalf("New(0) err = %v, want capacity error", err)
-	}
-}
-
-// TestFollowerSurvivesLeaderCancellation: a flight that dies because its
-// *leader's* caller disconnected must not fail a follower whose own
-// context is still live — the follower retries and becomes the new leader.
-func TestFollowerSurvivesLeaderCancellation(t *testing.T) {
-	c := mustNew(t, 8, "")
-	leaderCtx, cancelLeader := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	followerJoined := make(chan struct{})
-	go func() {
-		c.GetOrRun(leaderCtx, spec(8), func(ctx context.Context) (system.Results, error) {
-			close(started)
-			<-followerJoined
-			cancelLeader()
-			<-ctx.Done()
-			return system.Results{}, fmt.Errorf("run canceled: %w", ctx.Err())
-		})
-	}()
-	<-started
-
-	calls := 0
-	type outcome struct {
-		res system.Results
-		hit bool
-		err error
-	}
-	got := make(chan outcome, 1)
-	go func() {
-		res, hit, err := c.GetOrRun(context.Background(), spec(8), fakeRun(&calls, 11))
-		got <- outcome{res, hit, err}
-	}()
-	waitForDedup(t, c, 1)
-	close(followerJoined)
-
-	o := <-got
-	if o.err != nil {
-		t.Fatalf("follower inherited the leader's cancellation: %v", o.err)
-	}
-	if o.hit || o.res.Cycles != 11 || calls != 1 {
-		t.Fatalf("follower takeover: hit=%v res=%+v calls=%d, want a fresh run", o.hit, o.res, calls)
 	}
 }
 

@@ -125,24 +125,14 @@ func RunContext(ctx context.Context, specs []system.Spec, opt Options) []Result 
 	return results
 }
 
-// FirstError returns the error of the earliest failed run, or nil.
-func FirstError(results []Result) error {
-	for _, r := range results {
-		if r.Err != nil {
-			return fmt.Errorf("%s: %w", r.Spec.Key(), r.Err)
-		}
-	}
-	return nil
-}
-
 // Collect strips the Results out of a fully successful sweep, preserving
-// input order; it fails on the first failed run.
+// input order; it fails with the error of the earliest failed run.
 func Collect(results []Result) ([]system.Results, error) {
-	if err := FirstError(results); err != nil {
-		return nil, err
-	}
 	out := make([]system.Results, len(results))
 	for i, r := range results {
+		if r.Err != nil {
+			return nil, fmt.Errorf("%s: %w", r.Spec.Key(), r.Err)
+		}
 		out[i] = r.Res
 	}
 	return out, nil

@@ -45,7 +45,7 @@ func TestResultsArriveInInputOrder(t *testing.T) {
 func TestProgressStreamsOneLinePerRun(t *testing.T) {
 	specs := tinySpecs()
 	var progress bytes.Buffer
-	if err := FirstError(Run(specs, Options{Workers: 2, Progress: &progress})); err != nil {
+	if _, err := Collect(Run(specs, Options{Workers: 2, Progress: &progress})); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(progress.String()), "\n")
@@ -71,11 +71,8 @@ func TestFailedRunIsReportedNotFatal(t *testing.T) {
 	if results[1].Err == nil {
 		t.Fatal("unknown benchmark did not fail")
 	}
-	if err := FirstError(results); err == nil || !strings.Contains(err.Error(), "NOPE") {
-		t.Fatalf("FirstError = %v, want mention of NOPE", err)
-	}
-	if _, err := Collect(results); err == nil {
-		t.Fatal("Collect accepted a failed sweep")
+	if _, err := Collect(results); err == nil || !strings.Contains(err.Error(), "NOPE") {
+		t.Fatalf("Collect err = %v, want a failure naming NOPE", err)
 	}
 }
 

@@ -44,9 +44,10 @@
 // then a bounded job queue drained by a fixed pool of worker goroutines,
 // each of which executes via rescache.GetOrRun. A Spec the daemon has seen
 // before costs a map lookup, and N concurrent requests for the same Spec
-// cost one simulation. A shared run is cancelled only when its last waiter
-// leaves — a sweep or plan when its request ends, a POST at its ?timeout —
-// and system.Machine.RunContext polls the context mid-run.
+// join one registered job, so they cost one simulation. A shared run is
+// cancelled only when its last waiter leaves — a sweep or plan when its
+// request ends, a POST at its ?timeout — and system.Machine.RunContext
+// polls the context mid-run.
 package service
 
 import (
@@ -215,14 +216,12 @@ func (s *Server) initMetrics() {
 	s.runSeconds = r.HistogramVec("hybridsimd_run_duration_seconds",
 		"Wall time to answer one run, by outcome (cached, computed, failed).",
 		nil, "outcome")
-	r.CounterFunc("hybridsimd_cache_hits_total", "Cache hits, all tiers plus singleflight followers.",
+	r.CounterFunc("hybridsimd_cache_hits_total", "Cache hits, memory and disk tiers.",
 		func() uint64 { return s.cache.Stats().Hits })
 	r.CounterFunc("hybridsimd_cache_memory_hits_total", "Memory-tier cache hits.",
 		func() uint64 { return s.cache.Stats().MemHits })
 	r.CounterFunc("hybridsimd_cache_disk_hits_total", "Disk-tier cache hits.",
 		func() uint64 { return s.cache.Stats().DiskHits })
-	r.CounterFunc("hybridsimd_cache_singleflight_hits_total", "Callers that joined an in-flight identical run.",
-		func() uint64 { return s.cache.Stats().Dedup })
 	r.CounterFunc("hybridsimd_cache_misses_total", "Requests that executed a simulation.",
 		func() uint64 { return s.cache.Stats().Misses })
 	r.CounterFunc("hybridsimd_cache_evictions_total", "Memory-tier LRU evictions.",
@@ -386,8 +385,8 @@ func (s *Server) acquire(spec system.Spec, key string, w waiter) (*job, error) {
 	}
 	// A telemetry request takes the cache answer only when the timeline
 	// exists too; otherwise the run is executed (once) to produce it.
-	if res, ok := s.cache.GetKey(key); ok && (!w.observed() || s.hasTimeline(key)) {
-		return endedJob(spec, key, res, nil), nil
+	if e, ok := s.cache.EntryKey(key); ok && (!w.observed() || s.hasTimeline(key)) {
+		return endedJob(spec, key, e.Res, nil), nil
 	}
 	j, fresh := s.register(spec, key, w)
 	if !fresh {
@@ -588,10 +587,9 @@ func (s *Server) execute(j *job) {
 	s.settle(j, res, hit, wall, err, outcomeOf(hit, err), time.Since(t0))
 }
 
-// compute runs spec through rescache.GetOrRun. With telemetry, the Recorder
-// is attached inside the run function. A result that comes back from the
-// cache or from another caller's flight has no timeline, so it is re-run
-// once under the Recorder; that run counts as a miss.
+// compute runs spec through rescache.GetOrRun. With telemetry it always
+// executes, under a Recorder, since a cached result has no timeline, and
+// then stores the result with Put.
 func (s *Server) compute(ctx context.Context, spec system.Spec, key string, tel *TelemetryOptions) (res system.Results, hit bool, wall time.Duration, err error) {
 	var rec *telemetry.Recorder
 	if tel != nil {
@@ -609,17 +607,15 @@ func (s *Server) compute(ctx context.Context, spec system.Spec, key string, tel 
 		}
 		return m.RunContext(ctx, spec.MaxEvents)
 	}
-	res, hit, err = s.cache.GetOrRun(ctx, spec, run)
-	if rec != nil && hit && err == nil {
-		if res, err = run(ctx); err == nil {
-			s.cache.Put(spec, res)
-		}
-		hit = false
+	if rec == nil {
+		res, hit, err = s.cache.GetOrRun(ctx, spec, run)
+		return res, hit, wall, err
 	}
-	if rec != nil && err == nil {
+	if res, err = run(ctx); err == nil {
+		s.cache.Put(spec, res)
 		s.storeTimeline(key, rec.Series())
 	}
-	return res, hit, wall, err
+	return res, false, wall, err
 }
 
 func outcomeOf(hit bool, err error) string {

@@ -68,7 +68,7 @@ func newFleet(t *testing.T, ids []string, opt Options) map[string]*fleetNode {
 }
 
 // fleetMisses sums local Executes across the fleet — the fleet-wide
-// singleflight invariant is that any Spec costs exactly one.
+// deduplication invariant is that any Spec costs exactly one.
 func fleetMisses(f map[string]*fleetNode) uint64 {
 	var n uint64
 	for _, node := range f {
@@ -79,7 +79,7 @@ func fleetMisses(f map[string]*fleetNode) uint64 {
 
 // TestFleetComputesSpecOnce: submitting the same Spec to both members costs
 // one simulation fleet-wide — the non-owner forwards to the owner, whose
-// singleflight and cache absorb the second request.
+// in-flight registry and cache absorb the second request.
 func TestFleetComputesSpecOnce(t *testing.T) {
 	fleet := newFleet(t, []string{"a", "b"}, Options{Workers: 2, QueueDepth: 16})
 	spec := tinySpec("EP", config.CacheBased)

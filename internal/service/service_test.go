@@ -462,3 +462,77 @@ func TestConcurrentWaitersShareOneRun(t *testing.T) {
 		t.Fatalf("misses = %d for %d concurrent requests of one Spec, want 1", n, callers)
 	}
 }
+
+// TestSharedRunOutlivesSweepDisconnect: a sweep stream and a POST
+// ?wait=true share one registered run. The sweep disconnecting mid-run
+// drops one waiter, not the run: the POST still gets the answer, and the
+// Spec executes once.
+func TestSharedRunOutlivesSweepDisconnect(t *testing.T) {
+	srv, client := newTestDaemon(t, Options{Workers: 1, QueueDepth: 4})
+	m := Matrix{Benchmarks: []string{"CG"}, Systems: []string{"hybrid"}, Scale: "small", Cores: 16}
+	specs, err := m.Specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := specs[0].Hash()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	swept := make(chan error, 1)
+	go func() {
+		_, err := client.Sweep(ctx, m, 0, nil)
+		swept <- err
+	}()
+	j := waitForWaiters(t, srv, key, 1)
+
+	type answer struct {
+		rec RunRecord
+		err error
+	}
+	posted := make(chan answer, 1)
+	go func() {
+		rec, err := client.Run(context.Background(), specs[0], 0)
+		posted <- answer{rec, err}
+	}()
+	waitForWaiters(t, srv, key, 2)
+
+	cancel()
+	if err := <-swept; err == nil {
+		t.Fatal("canceled sweep returned no error")
+	}
+	waitForWaiters(t, srv, key, 1)
+	if err := j.ctx.Err(); err != nil {
+		t.Fatalf("the sweep's disconnect canceled the run the POST waits on: %v", err)
+	}
+
+	a := <-posted
+	if a.err != nil || a.rec.Status != string(statusDone) || a.rec.Results == nil {
+		t.Fatalf("POST after the sweep left: status=%q err=%v, want done", a.rec.Status, a.err)
+	}
+	if n := srv.cache.Stats().Misses; n != 1 {
+		t.Fatalf("misses = %d, want 1 (one run shared by both requests)", n)
+	}
+}
+
+// waitForWaiters waits until the registered job for key has n waiters and
+// returns it.
+func waitForWaiters(t *testing.T, srv *Server, key string, n int) *job {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		srv.mu.Lock()
+		j := srv.runs[key]
+		got := 0
+		if j != nil {
+			got = j.waiters
+		}
+		srv.mu.Unlock()
+		if got == n {
+			return j
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s has %d waiters, want %d", key, got, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

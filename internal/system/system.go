@@ -19,6 +19,7 @@ import (
 	"repro/internal/noc"
 	"repro/internal/sim"
 	"repro/internal/spm"
+	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -71,67 +72,64 @@ func (m *Machine) Attach(rec *telemetry.Recorder) {
 			d.SetTrace(tr)
 		}
 	}
-	rec.AddProbe("core.retired", m.Cluster.Retired)
-	rec.AddProbe("core.flushes", m.Cluster.Flushes)
-	for c := noc.Category(0); c < noc.NumCategories; c++ {
-		c := c
-		rec.AddProbe("noc.pkts."+c.String(), func() uint64 { return m.Mesh.Packets(c) })
+	for _, p := range m.probes() {
+		rec.AddProbe(p.Name, p.Fn)
 	}
-	rec.AddProbe("noc.flithops", m.Mesh.TotalFlitHops)
-	rec.AddCounters("coherence", m.Hier.Stats())
+}
+
+// probes lists every counter the machine exposes as a named reader, in
+// timeline order: core, NoC, coherence and protocol counters (the whole
+// registered schema, touched or not, so the series layout is a function of
+// the machine, not of the workload), then the DMA and SPM totals.
+func (m *Machine) probes() []telemetry.Probe {
+	ps := []telemetry.Probe{
+		{Name: "core.retired", Fn: m.Cluster.Retired},
+		{Name: "core.flushes", Fn: m.Cluster.Flushes},
+	}
+	for c := noc.Category(0); c < noc.NumCategories; c++ {
+		ps = append(ps, telemetry.Probe{Name: "noc.pkts." + c.String(), Fn: func() uint64 { return m.Mesh.Packets(c) }})
+	}
+	ps = append(ps, telemetry.Probe{Name: "noc.flithops", Fn: m.Mesh.TotalFlitHops})
+	counters := func(prefix string, cs *stats.Counters) {
+		for _, name := range cs.AllNames() {
+			ps = append(ps, telemetry.Probe{Name: prefix + "." + name, Fn: func() uint64 { return cs.Get(name) }})
+		}
+	}
+	counters("coherence", m.Hier.Stats())
 	if m.Protocol != nil {
-		rec.AddCounters("protocol", m.Protocol.Stats())
+		counters("protocol", m.Protocol.Stats())
 	}
 	if len(m.DMACs) > 0 {
-		rec.AddProbe("dma.lines", func() uint64 {
+		ps = append(ps, telemetry.Probe{Name: "dma.lines", Fn: func() uint64 {
 			var t uint64
 			for _, d := range m.DMACs {
 				t += d.LineTransfers()
 			}
 			return t
-		})
+		}})
 	}
 	if len(m.SPMs) > 0 {
-		rec.AddProbe("spm.accesses", func() uint64 {
+		ps = append(ps, telemetry.Probe{Name: "spm.accesses", Fn: func() uint64 {
 			var t uint64
 			for _, s := range m.SPMs {
 				t += s.TotalAccesses()
 			}
 			return t
-		})
+		}})
 	}
+	return ps
 }
 
-// CounterSnapshot returns every interned counter the machine exposes, keyed
-// with the same prefixed names the telemetry probes use ("coherence.l2.misses",
-// "protocol.filter.evictions", "dma.lines", "spm.accesses"), so the analysis
-// rules and the timeline series read one vocabulary. It is a read-only
+// CounterSnapshot returns every counter the machine exposes, keyed with
+// the names of its timeline series ("core.retired", "coherence.l2.misses",
+// "protocol.filter.evictions", "dma.lines", "spm.accesses"), so the
+// analysis rules and the timeline read one vocabulary. It is a read-only
 // post-run summary: call it after Run; it never perturbs simulated behavior.
 func (m *Machine) CounterSnapshot() map[string]uint64 {
-	out := make(map[string]uint64, 64)
-	hs := m.Hier.Stats()
-	for _, name := range hs.AllNames() {
-		out["coherence."+name] = hs.Get(name)
-	}
-	if m.Protocol != nil {
-		ps := m.Protocol.Stats()
-		for _, name := range ps.AllNames() {
-			out["protocol."+name] = ps.Get(name)
-		}
-	}
-	if len(m.DMACs) > 0 {
-		var t uint64
-		for _, d := range m.DMACs {
-			t += d.LineTransfers()
-		}
-		out["dma.lines"] = t
-	}
-	if len(m.SPMs) > 0 {
-		var t uint64
-		for _, s := range m.SPMs {
-			t += s.TotalAccesses()
-		}
-		out["spm.accesses"] = t
+	ps := m.probes()
+	out := make(map[string]uint64, len(ps))
+	for _, p := range ps {
+		out[p.Name] = p.Fn()
 	}
 	return out
 }

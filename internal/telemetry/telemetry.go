@@ -13,7 +13,6 @@ package telemetry
 
 import (
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Probe is one sampled series: a name and a monotonic counter reader. The
@@ -96,16 +95,6 @@ func (r *Recorder) Bind(eng *sim.Engine) {
 // AddProbe registers one sampled series. Call before Start.
 func (r *Recorder) AddProbe(name string, fn func() uint64) {
 	r.probes = append(r.probes, Probe{Name: name, Fn: fn})
-}
-
-// AddCounters registers every counter of an interned set as
-// "<prefix>.<name>" series — the whole registered schema, touched or not,
-// so the series layout is a function of the machine, not of the workload.
-func (r *Recorder) AddCounters(prefix string, c *stats.Counters) {
-	for _, name := range c.AllNames() {
-		name := name
-		r.AddProbe(prefix+"."+name, func() uint64 { return c.Get(name) })
-	}
 }
 
 // Start begins sampling on the bound engine. The sampler is a pooled

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // MemorySystem selects which machine is simulated.
@@ -41,12 +42,20 @@ func (m MemorySystem) String() string {
 
 // MarshalJSON encodes the system by its stable name, so JSON result sinks
 // stay readable and robust against enum reordering.
+// No name needs a JSON escape, so Go quoting spells it as JSON does.
 func (m MemorySystem) MarshalJSON() ([]byte, error) {
-	return json.Marshal(m.String())
+	return strconv.AppendQuote(make([]byte, 0, 16), m.String()), nil
 }
 
-// UnmarshalJSON accepts the names MarshalJSON produces.
+// UnmarshalJSON accepts the names MarshalJSON produces. A name quoted
+// plainly, as MarshalJSON writes it, is matched in place, without a decode.
 func (m *MemorySystem) UnmarshalJSON(b []byte) error {
+	for _, v := range []MemorySystem{CacheBased, HybridIdeal, HybridReal} {
+		if n := len(b); n >= 2 && b[0] == '"' && b[n-1] == '"' && string(b[1:n-1]) == v.String() {
+			*m = v
+			return nil
+		}
+	}
 	var s string
 	if err := json.Unmarshal(b, &s); err != nil {
 		return err

@@ -1,6 +1,10 @@
 package config
 
-import "testing"
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+)
 
 func TestDefaultMatchesTable1(t *testing.T) {
 	c := Default()
@@ -137,5 +141,27 @@ func TestSystemString(t *testing.T) {
 		if sys.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(sys), sys.String(), want)
 		}
+	}
+}
+
+// TestSystemJSONSpelling: MarshalJSON spells every value, known or not, as
+// json.Marshal spells its name, and only the known names decode back, in
+// place or (when escaped) through the decoder.
+func TestSystemJSONSpelling(t *testing.T) {
+	for _, sys := range []MemorySystem{CacheBased, HybridIdeal, HybridReal, -1, 7} {
+		got, err := sys.MarshalJSON()
+		want, _ := json.Marshal(sys.String())
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%d: MarshalJSON = %s, %v; want %s", int(sys), got, err, want)
+		}
+		var back MemorySystem
+		err = json.Unmarshal(got, &back)
+		if known := sys >= CacheBased && sys <= HybridReal; known != (err == nil) || known && back != sys {
+			t.Fatalf("%d: decoded %s to %d, %v", int(sys), got, int(back), err)
+		}
+	}
+	var back MemorySystem
+	if err := json.Unmarshal([]byte(`"hybr\u0069d"`), &back); err != nil || back != HybridReal {
+		t.Fatalf("escaped name decoded to %d, %v", int(back), err)
 	}
 }

@@ -194,9 +194,10 @@ func (o Overrides) IsZero() bool { return o == Overrides{} }
 
 // Validate rejects negative knob values, which can never name a machine and
 // would otherwise be silently treated as "unset minus a perturbed wire form".
-func (o Overrides) Validate() error {
+// It takes a pointer so that walking the registry copies nothing to the heap.
+func (o *Overrides) Validate() error {
 	for _, k := range knobs {
-		if v := *k.Over(&o); v < 0 {
+		if v := *k.Over(o); v < 0 {
 			return fmt.Errorf("config: negative override %s=%d", k.Name, v)
 		}
 	}

@@ -61,6 +61,19 @@ func TestKnobNamesMatchJSONTags(t *testing.T) {
 	}
 }
 
+// TestKnobOrderIsFieldOrder: the registry lists the knobs in Overrides'
+// field order, so system.Spec can write "overrides" by walking the
+// registry and still spell it exactly as encoding/json spells the struct.
+func TestKnobOrderIsFieldOrder(t *testing.T) {
+	var o Overrides
+	v := reflect.ValueOf(&o).Elem()
+	for i, k := range Knobs() {
+		if k.Over(&o) != v.Field(i).Addr().Interface().(*int) {
+			t.Fatalf("knob %d (%s) is not Overrides field %d (%s)", i, k.Name, i, v.Type().Field(i).Name)
+		}
+	}
+}
+
 func TestOverridesApplyAndConfigDiff(t *testing.T) {
 	var o Overrides
 	if err := o.Set("l1d_size", 64<<10); err != nil {

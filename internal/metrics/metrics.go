@@ -225,20 +225,24 @@ func (v *vec[T]) with(values ...string) T {
 	if len(values) != len(v.labels) {
 		panic(fmt.Sprintf("metrics: got %d label values, want %d", len(values), len(v.labels)))
 	}
-	var b strings.Builder
+	// The key is rendered into a stack buffer and looked up without a
+	// string copy; only a first use allocates its key.
+	var buf [128]byte
+	b := buf[:0]
 	for i, l := range v.labels {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%s", l, strconv.Quote(values[i]))
+		b = append(b, l...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, values[i])
 	}
-	key := b.String()
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	kid, ok := v.kids[key]
+	kid, ok := v.kids[string(b)]
 	if !ok {
-		kid = &labelled[T]{key: key, inst: v.mk()}
-		v.kids[key] = kid
+		kid = &labelled[T]{key: string(b), inst: v.mk()}
+		v.kids[kid.key] = kid
 		v.order = append(v.order, kid)
 	}
 	return kid.inst

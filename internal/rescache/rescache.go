@@ -125,13 +125,9 @@ func (c *Cache) EntryKey(key string) (Entry, bool) {
 // with the memory tier, which never mutates a stored entry, so callers
 // copy out what they need and never write through it.
 func (c *Cache) get(key string) (*Entry, bool) {
-	c.mu.Lock()
-	if e, ok := c.lookupLocked(key); ok {
-		c.stats.MemHits++
-		c.mu.Unlock()
+	if e, ok := c.memGet(key); ok {
 		return e, true
 	}
-	c.mu.Unlock()
 	e, ok := c.diskGet(key)
 	if !ok {
 		return nil, false
@@ -141,6 +137,19 @@ func (c *Cache) get(key string) (*Entry, bool) {
 	c.stats.DiskHits++
 	c.mu.Unlock()
 	return e, true
+}
+
+// memGet finds key in the memory tier and marks it most-recent.
+func (c *Cache) memGet(key string) (*Entry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
+	c.stats.MemHits++
+	return el.Value.(*entryNode).e, true
 }
 
 // GetOrRun returns the cached Results for spec, or executes run and stores
@@ -153,6 +162,22 @@ func (c *Cache) GetOrRun(ctx context.Context, spec system.Spec, run func(context
 	if e, ok := c.get(key); ok {
 		return e.Res, true, nil
 	}
+	return c.runAndStore(ctx, spec, key, run)
+}
+
+// RunMissed is GetOrRun for a key (spec.Hash()) the caller has already
+// missed in both tiers (EntryKey). Its re-check before running reads
+// memory only, where a run that ended since then stored its result first;
+// the disk is not read a second time.
+func (c *Cache) RunMissed(ctx context.Context, spec system.Spec, key string, run func(context.Context) (system.Results, error)) (res system.Results, hit bool, err error) {
+	if e, ok := c.memGet(key); ok {
+		return e.Res, true, nil
+	}
+	return c.runAndStore(ctx, spec, key, run)
+}
+
+// runAndStore is the miss half of GetOrRun and RunMissed.
+func (c *Cache) runAndStore(ctx context.Context, spec system.Spec, key string, run func(context.Context) (system.Results, error)) (res system.Results, hit bool, err error) {
 	res, err = run(ctx)
 	if err != nil {
 		c.mu.Lock()
@@ -194,16 +219,6 @@ func (c *Cache) store(key string, e *Entry, n *uint64) {
 	if err := c.diskPut(key, e); err != nil {
 		c.logWarn("rescache: disk write failed", "key", key, "err", err)
 	}
-}
-
-// lookupLocked finds key in the memory tier and marks it most-recent.
-func (c *Cache) lookupLocked(key string) (*Entry, bool) {
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*entryNode).e, true
 }
 
 // entryNode carries the key alongside the Entry so eviction can unmap it.

@@ -135,7 +135,18 @@ func (c *Client) getJSON(ctx context.Context, path string, q url.Values, out any
 	if resp.StatusCode != http.StatusOK {
 		return apiError(resp)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return readJSON(resp.Body, out)
+}
+
+// readJSON reads a whole response body into a pooled buffer and decodes it
+// in one json.Unmarshal, which copies out everything it keeps.
+func readJSON(r io.Reader, out any) error {
+	buf := getBuf()
+	defer putBuf(buf)
+	if _, err := buf.ReadFrom(r); err != nil {
+		return err
+	}
+	return json.Unmarshal(buf.Bytes(), out)
 }
 
 // Submit posts a submission and returns one record per run. With wait, the
@@ -169,7 +180,7 @@ func (c *Client) Submit(ctx context.Context, req SubmitRequest, wait bool, timeo
 		return nil, apiError(resp)
 	}
 	var sr SubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+	if err := readJSON(resp.Body, &sr); err != nil {
 		return nil, err
 	}
 	return sr.Runs, nil

@@ -116,7 +116,7 @@ func (p serverProber) Probe(ctx context.Context, sp system.Spec) (system.Results
 // stream shares /v1/sweep's shape and cancellation semantics — closing the
 // connection cancels every probe still queued.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	timeout, err := queryTimeout(r)
+	timeout, err := queryTimeout(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -42,7 +42,7 @@
 // /v1/plan probes — goes through one pipeline (Server.acquire): the result
 // cache, then the in-flight registry, then the ring owner in fleet mode,
 // then a bounded job queue drained by a fixed pool of worker goroutines,
-// each of which executes via rescache.GetOrRun. A Spec the daemon has seen
+// each of which executes via rescache.RunMissed. A Spec the daemon has seen
 // before costs a map lookup, and N concurrent requests for the same Spec
 // join one registered job, so they cost one simulation. A shared run is
 // cancelled only when its last waiter leaves — a sweep or plan when its
@@ -51,6 +51,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -58,6 +59,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -282,7 +284,8 @@ func New(opt Options) *Server {
 	}
 	log := opt.Log
 	if log == nil {
-		log = slog.New(slog.NewTextHandler(io.Discard, nil))
+		// A level above every one the daemon logs at: nothing is formatted.
+		log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -587,9 +590,10 @@ func (s *Server) execute(j *job) {
 	s.settle(j, res, hit, wall, err, outcomeOf(hit, err), time.Since(t0))
 }
 
-// compute runs spec through rescache.GetOrRun. With telemetry it always
-// executes, under a Recorder, since a cached result has no timeline, and
-// then stores the result with Put.
+// compute runs spec through rescache.RunMissed: acquire has already missed
+// key in both tiers, so only memory is checked again. With telemetry it
+// always executes, under a Recorder, since a cached result has no
+// timeline, and then stores the result with Put.
 func (s *Server) compute(ctx context.Context, spec system.Spec, key string, tel *TelemetryOptions) (res system.Results, hit bool, wall time.Duration, err error) {
 	var rec *telemetry.Recorder
 	if tel != nil {
@@ -608,7 +612,7 @@ func (s *Server) compute(ctx context.Context, spec system.Spec, key string, tel 
 		return m.RunContext(ctx, spec.MaxEvents)
 	}
 	if rec == nil {
-		res, hit, err = s.cache.GetOrRun(ctx, spec, run)
+		res, hit, err = s.cache.RunMissed(ctx, spec, key, run)
 		return res, hit, wall, err
 	}
 	if res, err = run(ctx); err == nil {
@@ -1013,7 +1017,8 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		next.ServeHTTP(sw, r)
 		route := routeLabel(r)
 		s.httpReqs.With(route, strconv.Itoa(sw.code)).Inc()
-		if route != "/metrics" && route != "/v1/healthz" { // scrape noise
+		// Scrapes are noise, and an unlogged line is not built at all.
+		if route != "/metrics" && route != "/v1/healthz" && s.log.Enabled(r.Context(), slog.LevelInfo) {
 			s.log.Info("request", "method", r.Method, "path", r.URL.Path,
 				"code", sw.code, "dur_ms", time.Since(t0).Milliseconds())
 		}
@@ -1082,12 +1087,44 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ts)
 }
 
+// bufPool recycles the buffers responses are encoded into (writeJSON) and
+// read back from (Client), so a cached answer costs no body buffer of its
+// own on either end of the wire.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBuf bounds the buffers bufPool keeps: one large timeline or
+// analysis body must not pin its memory for the daemon's lifetime.
+const maxPooledBuf = 1 << 20
+
+func getBuf() *bytes.Buffer {
+	b := bufPool.Get().(*bytes.Buffer)
+	b.Reset()
+	return b
+}
+
+func putBuf(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledBuf {
+		bufPool.Put(b)
+	}
+}
+
+// writeJSON answers with v as one line of compact JSON, the shape of every
+// NDJSON stream line too. The body is encoded into a pooled buffer first,
+// so it goes out in one write with its Content-Length, and a value that
+// cannot be encoded answers 500 instead of an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := getBuf()
+	defer putBuf(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		code = http.StatusInternalServerError
+		json.NewEncoder(buf).Encode(map[string]string{"error": err.Error()})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(buf.Bytes())
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
@@ -1095,8 +1132,8 @@ func writeError(w http.ResponseWriter, code int, err error) {
 }
 
 // queryTimeout parses ?timeout=30s; zero means none.
-func queryTimeout(r *http.Request) (time.Duration, error) {
-	raw := r.URL.Query().Get("timeout")
+func queryTimeout(q url.Values) (time.Duration, error) {
+	raw := q.Get("timeout")
 	if raw == "" {
 		return 0, nil
 	}
@@ -1116,7 +1153,8 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	timeout, err := queryTimeout(r)
+	q := r.URL.Query()
+	timeout, err := queryTimeout(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -1145,7 +1183,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.log.Info("runs submitted", "specs", len(specs),
 		"telemetry", req.Telemetry != nil && req.Telemetry.Interval > 0)
 
-	wait, _ := strconv.ParseBool(r.URL.Query().Get("wait"))
+	wait, _ := strconv.ParseBool(q.Get("wait"))
 	code := http.StatusAccepted
 	if wait {
 		// Block on the submitted work, bounded by the client's own
@@ -1230,7 +1268,7 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 // remaining work.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	timeout, err := queryTimeout(r)
+	timeout, err := queryTimeout(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

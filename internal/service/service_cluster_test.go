@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -246,15 +248,26 @@ func TestClientRetriesShedUnderConcurrency(t *testing.T) {
 	srv := New(Options{Workers: 2, QueueDepth: 16})
 	t.Cleanup(srv.Close)
 
-	// Shed the first POST from each submitter, then pass through.
+	// Shed the first POST from each submitter, then pass through. Each
+	// submitter posts its own Spec, so a body seen before is a retry: one
+	// submitter retrying before the others post is not shed again.
 	const submitters = 4
-	var sheds atomic.Int32
+	var shedMu sync.Mutex
+	posted := map[string]bool{}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && sheds.Add(1) <= submitters {
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusTooManyRequests)
-			w.Write([]byte(`{"error":"shed"}`))
-			return
+		if r.Method == http.MethodPost {
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			shedMu.Lock()
+			first := !posted[string(body)]
+			posted[string(body)] = true
+			shedMu.Unlock()
+			if first {
+				w.Header().Set("Retry-After", "1")
+				w.WriteHeader(http.StatusTooManyRequests)
+				w.Write([]byte(`{"error":"shed"}`))
+				return
+			}
 		}
 		srv.Handler().ServeHTTP(w, r)
 	}))

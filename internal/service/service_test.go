@@ -7,6 +7,10 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -534,5 +538,94 @@ func waitForWaiters(t *testing.T, srv *Server, key string, n int) *job {
 			t.Fatalf("job %s has %d waiters, want %d", key, got, n)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFreshSpecReadsDiskOnce: a run the cache stage has missed reads the
+// disk tier once, not again in the worker. A corrupt entry sits at the
+// Spec's address, so every disk read of it is counted in DiskErrors.
+func TestFreshSpecReadsDiskOnce(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := rescache.New(8, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := tinySpec("EP", config.CacheBased)
+	if err := os.WriteFile(filepath.Join(dir, spec.Hash()+".json"), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, client := newTestDaemon(t, Options{Workers: 1, Cache: cache})
+	rec, err := client.Run(context.Background(), spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Cached {
+		t.Fatal("a Spec whose only disk entry is corrupt was served from the cache")
+	}
+	if st := cache.Stats(); st.DiskErrors != 1 || st.Misses != 1 {
+		t.Fatalf("disk reads = %d, misses = %d; want 1 read for 1 miss", st.DiskErrors, st.Misses)
+	}
+}
+
+// cachedSubmitBody is a POST /v1/runs body whose answer the indented
+// encoder recorded in testdata/runs_cached_indented.json (a cache hit, so
+// it carries no wall time).
+const cachedSubmitBody = `{"spec":{"system":"hybrid","benchmark":"EP","scale":"tiny","cores":4,"overrides":{"mem_latency":96}}}`
+
+// warmHandler returns a daemon's handler whose cache already holds the run
+// cachedSubmitBody names.
+func warmHandler(t testing.TB) http.Handler {
+	srv := New(Options{Workers: 1})
+	t.Cleanup(srv.Close)
+	h := srv.Handler()
+	if w := postCached(h); w.Code != http.StatusOK {
+		t.Fatalf("warm-up POST: %d %s", w.Code, w.Body)
+	}
+	return h
+}
+
+func postCached(h http.Handler) *httptest.ResponseRecorder {
+	r := httptest.NewRequest(http.MethodPost, "/v1/runs?wait=true", strings.NewReader(cachedSubmitBody))
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, r)
+	return w
+}
+
+// TestSubmitResponseIsOneCompactLine: a POST /v1/runs answer is one line of
+// compact JSON with its Content-Length, and only whitespace separates it
+// from the indented body the daemon used to send, so it decodes to the
+// same SubmitResponse.
+func TestSubmitResponseIsOneCompactLine(t *testing.T) {
+	w := postCached(warmHandler(t))
+	body := w.Body.Bytes()
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, body)
+	}
+	if i := bytes.IndexByte(body, '\n'); i != len(body)-1 {
+		t.Fatalf("body is not one newline-terminated line:\n%s", body)
+	}
+	if cl := w.Header().Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+		t.Fatalf("Content-Length %q for a %d-byte body", cl, len(body))
+	}
+	indented, err := os.ReadFile("testdata/runs_cached_indented.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want SubmitResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(indented, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("compact body decodes to\n %+v\nindented body to\n %+v", got, want)
+	}
+	var re bytes.Buffer
+	if err := json.Indent(&re, body, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(re.Bytes(), indented) {
+		t.Fatalf("re-indented body differs from the indented one:\n%s", re.Bytes())
 	}
 }

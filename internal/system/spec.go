@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -239,10 +240,11 @@ func systemDefault(sys config.MemorySystem) *config.Config {
 	return &def
 }
 
-// specJSON is the wire form of a Spec. Overrides travels as a pointer so an
-// all-default Spec serializes without an empty "overrides" object. Cores
-// and FilterEntries are decode-only aliases for their Overrides twins
-// (older request bodies send them top-level); MarshalJSON never sets them.
+// specJSON is the decode form of a Spec. Overrides decodes into a value
+// field that the wire pointer is aimed at before each decode, so a Spec
+// with overrides costs no allocation for them while a later "overrides":
+// null still clears them. Cores and FilterEntries are decode-only aliases
+// for their Overrides twins (older request bodies send them top-level).
 type specJSON struct {
 	System        config.MemorySystem `json:"system"`
 	Benchmark     string              `json:"benchmark"`
@@ -253,30 +255,88 @@ type specJSON struct {
 	Seed          uint64              `json:"seed,omitempty"`
 	FilterEntries int                 `json:"filter_entries,omitempty"`
 	MaxEvents     uint64              `json:"max_events,omitempty"`
+
+	ov config.Overrides
 }
 
 // MarshalJSON encodes the Spec losslessly with the memory system and scale
 // by name, so specs survive service requests and disk cache entries intact.
+// It appends the fields in the order and spelling encoding/json gives the
+// specJSON struct (params sorted by name, zero fields omitted); overrides
+// are written by walking the knob registry, whose order is the struct's.
 func (s Spec) MarshalJSON() ([]byte, error) {
-	sj := specJSON{
-		System:    s.System,
-		Benchmark: s.Benchmark,
-		Scale:     s.Scale,
-		Seed:      s.Seed,
-		MaxEvents: s.MaxEvents,
-	}
-	if !s.Overrides.IsZero() {
-		ov := s.Overrides
-		sj.Overrides = &ov
-	}
+	b := make([]byte, 0, 128)
+	b = append(b, `{"system":`...)
+	b = appendString(b, s.System.String())
+	b = append(b, `,"benchmark":`...)
+	b = appendString(b, s.Benchmark)
+	b = append(b, `,"scale":`...)
+	b = appendString(b, s.Scale.String())
 	if s.Params != "" {
 		p, err := workloads.ParseParams(s.Params)
 		if err != nil {
 			return nil, fmt.Errorf("system: bad workload params %q: %w", s.Params, err)
 		}
-		sj.Params = p
+		if len(p) > 0 {
+			names := make([]string, 0, len(p))
+			for name := range p {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			b = append(b, `,"params":{`...)
+			for i, name := range names {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = appendString(b, name)
+				b = append(b, ':')
+				b = strconv.AppendInt(b, int64(p[name]), 10)
+			}
+			b = append(b, '}')
+		}
 	}
-	return json.Marshal(sj)
+	if !s.Overrides.IsZero() {
+		m := scratchPool.Get().(*configScratch)
+		m.ov = s.Overrides
+		sep := byte('{')
+		b = append(b, `,"overrides":`...)
+		for _, k := range config.Knobs() {
+			if v := *k.Over(&m.ov); v != 0 {
+				b = append(b, sep, '"')
+				b = append(b, k.Name...)
+				b = append(b, '"', ':')
+				b = strconv.AppendInt(b, int64(v), 10)
+				sep = ','
+			}
+		}
+		scratchPool.Put(m)
+		b = append(b, '}')
+	}
+	if s.Seed != 0 {
+		b = append(b, `,"seed":`...)
+		b = strconv.AppendUint(b, s.Seed, 10)
+	}
+	if s.MaxEvents != 0 {
+		b = append(b, `,"max_events":`...)
+		b = strconv.AppendUint(b, s.MaxEvents, 10)
+	}
+	return append(b, '}'), nil
+}
+
+// appendString appends str as a JSON string spelled as encoding/json
+// spells it: printable ASCII is copied as is, and a string holding
+// anything it would escape (quotes, backslashes, control, HTML-sensitive
+// or non-ASCII bytes) goes through json.Marshal.
+func appendString(b []byte, str string) []byte {
+	for i := 0; i < len(str); i++ {
+		if c := str[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(str)
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, str...)
+	return append(b, '"')
 }
 
 // UnmarshalJSON decodes what MarshalJSON produces, rejecting unknown fields
@@ -288,6 +348,7 @@ func (s *Spec) UnmarshalJSON(b []byte) error {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	var sj specJSON
+	sj.Overrides = &sj.ov
 	if err := dec.Decode(&sj); err != nil {
 		return fmt.Errorf("system: bad spec: %w", err)
 	}
@@ -359,9 +420,14 @@ func (s Spec) materialize(m *configScratch) {
 	}
 }
 
-// Validate reports whether the Spec names a buildable run.
+// Validate reports whether the Spec names a buildable run. It checks the
+// overrides and the machine in a pooled scratch, as Hash does, so a
+// decode-time validation costs no heap copy of either.
 func (s Spec) Validate() error {
-	if err := s.Overrides.Validate(); err != nil {
+	m := scratchPool.Get().(*configScratch)
+	defer scratchPool.Put(m)
+	m.ov = s.Overrides
+	if err := m.ov.Validate(); err != nil {
 		return fmt.Errorf("system: %w", err)
 	}
 	// The workload and its parameters validate against the registry —
@@ -371,14 +437,18 @@ func (s Spec) Validate() error {
 	if _, ok := workloads.Lookup(s.Benchmark); !ok {
 		return fmt.Errorf("system: unknown benchmark %q (want one of %v)", s.Benchmark, workloads.Names())
 	}
-	p, err := workloads.ParseParams(s.Params)
-	if err != nil {
-		return fmt.Errorf("system: %w", err)
+	var p map[string]int // all defaults: nothing to parse
+	if strings.TrimSpace(s.Params) != "" {
+		var err error
+		if p, err = workloads.ParseParams(s.Params); err != nil {
+			return fmt.Errorf("system: %w", err)
+		}
 	}
 	if err := workloads.ValidateParams(s.Benchmark, p); err != nil {
 		return fmt.Errorf("system: %w", err)
 	}
-	return s.Config().Validate()
+	s.materialize(m)
+	return m.cfg.Validate()
 }
 
 // Build validates the Spec and wires the machine it names: the workload

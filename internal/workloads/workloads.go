@@ -73,8 +73,15 @@ func (s Scale) MarshalJSON() ([]byte, error) {
 	return json.Marshal(s.String())
 }
 
-// UnmarshalJSON accepts the names MarshalJSON produces.
+// UnmarshalJSON accepts the names MarshalJSON produces. A name quoted
+// plainly, as MarshalJSON writes it, is matched in place, without a decode.
 func (s *Scale) UnmarshalJSON(b []byte) error {
+	for _, sc := range []Scale{Tiny, Small} {
+		if n := len(b); n >= 2 && b[0] == '"' && b[n-1] == '"' && string(b[1:n-1]) == sc.String() {
+			*s = sc
+			return nil
+		}
+	}
 	var name string
 	if err := json.Unmarshal(b, &name); err != nil {
 		return err

@@ -8,12 +8,13 @@
 // deduplication falls out of routing every computation to the owner, whose
 // in-flight job registry merges concurrent requests for it.
 //
-// On top of the ring this package provides the one peering verb the service
-// layer composes into its request pipeline: Forward, a bounded, retrying
-// proxy of an API request to a specific peer. The service forwards a run to
-// its owner as a POST /v1/runs?wait=true and adopts the answer into its own
-// cache, and proxies GET /v1/runs/{key} reads the same way. A node computes
-// a key it does not own only after the forward to the owner has failed.
+// The package keeps membership, the ring and liveness; it does not speak
+// the API. Peer hands the service one *http.Client per remote member, and
+// the service wraps it in its own typed Client, whose retry rule is the
+// only one in the daemon. Each peer's transport bounds outbound work at
+// maxPeerConns connections (a request past it waits for a free one, bounded
+// by its context), stamps ForwardedHeader, counts requests in flight for
+// Drain and Info, and refuses new requests after Close.
 //
 // Liveness is health-checked, not gossiped: a background loop probes every
 // peer's /v1/healthz, and transport failures on the request paths feed the
@@ -21,13 +22,9 @@
 // DefaultDownAfter consecutive errors without waiting out the poll interval. A
 // down peer leaves the ring (Owner skips it — the automatic rehash), and
 // everything it owned degrades to the next member, or to local compute.
-// All outbound work is bounded: per-peer forward windows with a shed-past
-// backlog, per-request retry with exponential backoff honoring Retry-After,
-// and a WaitGroup so shutdown can drain in-flight forwards.
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -49,26 +46,17 @@ import (
 // loops; the value is the sending node's ID, for logs.
 const ForwardedHeader = "X-Hybridsimd-Forwarded"
 
-// ErrSaturated reports a forward that was shed because the target peer's
-// window and backlog are both full. Callers degrade to local compute.
-var ErrSaturated = errors.New("cluster: forward window saturated")
-
-// Defaults for Options zero values.
+// Fleet parameters: the health-loop pace when Options leaves it zero, the
+// virtual nodes per ring member (every member must agree on it), the bound
+// on one health probe, the consecutive failures that turn a suspect peer
+// down, and the connections one peer's transport may hold open — the only
+// bound on outbound work.
 const (
-	DefaultForwardWindow  = 32
-	DefaultRetries        = 2
-	DefaultBackoffBase    = 100 * time.Millisecond
 	DefaultHealthInterval = 2 * time.Second
-	maxBackoff            = 5 * time.Second
-)
-
-// Fixed fleet parameters: the virtual nodes per ring member (every member
-// must agree on it), the bound on one health probe, and the consecutive
-// failures that turn a suspect peer down.
-const (
-	DefaultVNodes        = 64
-	DefaultHealthTimeout = time.Second
-	DefaultDownAfter     = 3
+	DefaultVNodes         = 64
+	DefaultHealthTimeout  = time.Second
+	DefaultDownAfter      = 3
+	maxPeerConns          = 32
 )
 
 // Node is one fleet member: a stable ID (the ring hashes IDs, so identity
@@ -116,22 +104,6 @@ type Options struct {
 	// be started with an identical list (same IDs) or placement diverges.
 	Peers []Node
 
-	// ForwardWindow bounds concurrent in-flight forwards per peer; past it
-	// callers queue up to ForwardBacklog waiters, then shed (default
-	// DefaultForwardWindow).
-	ForwardWindow int
-
-	// ForwardBacklog bounds waiters past the window (default 4x window).
-	ForwardBacklog int
-
-	// Retries is how many times a failed or shed forward is retried with
-	// exponential backoff (default DefaultRetries; negative disables).
-	Retries int
-
-	// BackoffBase seeds the exponential retry backoff; the server's
-	// Retry-After wins when longer (default DefaultBackoffBase).
-	BackoffBase time.Duration
-
 	// HealthInterval paces the background liveness probes; 0 means
 	// DefaultHealthInterval, negative disables the loop (tests drive
 	// PollOnce directly).
@@ -141,37 +113,32 @@ type Options struct {
 	Log *slog.Logger
 }
 
-// peer is one remote member plus its health and flow-control state.
+// peer is one remote member: its health and the client requests to it go
+// through.
 type peer struct {
-	id, url string
-	state   atomic.Int32
-	fails   atomic.Int32
-	window  chan struct{} // in-flight forward slots
-	waiters atomic.Int32  // callers blocked on a slot
+	id, url  string
+	state    atomic.Int32
+	fails    atomic.Int32
+	inFlight atomic.Int32 // requests whose response body is still open
+	hc       *http.Client // over a peerTransport
 }
 
 // Cluster is the fleet view of one daemon. Safe for concurrent use.
 type Cluster struct {
-	opt   Options
 	self  string
 	ring  *ring
 	peers map[string]*peer
-	order []string // sorted remote IDs
-	http  *http.Client
+	order []string     // sorted remote IDs
+	probe *http.Client // health probes, outside the peers' connection bound
 	log   *slog.Logger
 
-	// sleep is the backoff clock; tests swap it to assert retry pacing
-	// without real waiting.
-	sleep func(time.Duration)
-
 	closed atomic.Bool
-	wg     sync.WaitGroup // in-flight forwards
+	wg     sync.WaitGroup // requests in flight to peers
 	stop   context.CancelFunc
 	done   chan struct{}
 
 	reg       *metrics.Registry
-	forwards  *metrics.CounterVec // by peer, outcome (ok|error|saturated)
-	sheds     *metrics.CounterVec // by reason (forward-backlog)
+	forwards  *metrics.CounterVec // by peer, outcome (ok|error)
 	peerState *metrics.GaugeVec   // by peer: 2 alive, 1 suspect, 0 down
 }
 
@@ -181,20 +148,6 @@ func New(opt Options) (*Cluster, error) {
 	if opt.Self == "" {
 		return nil, errors.New("cluster: empty self ID")
 	}
-	if opt.ForwardWindow < 1 {
-		opt.ForwardWindow = DefaultForwardWindow
-	}
-	if opt.ForwardBacklog < 1 {
-		opt.ForwardBacklog = 4 * opt.ForwardWindow
-	}
-	if opt.Retries == 0 {
-		opt.Retries = DefaultRetries
-	} else if opt.Retries < 0 {
-		opt.Retries = 0
-	}
-	if opt.BackoffBase <= 0 {
-		opt.BackoffBase = DefaultBackoffBase
-	}
 	if opt.HealthInterval == 0 {
 		opt.HealthInterval = DefaultHealthInterval
 	}
@@ -202,14 +155,20 @@ func New(opt Options) (*Cluster, error) {
 		opt.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 
+	c := &Cluster{
+		self:  opt.Self,
+		peers: make(map[string]*peer, len(opt.Peers)),
+		probe: &http.Client{},
+		log:   opt.Log,
+		done:  make(chan struct{}),
+	}
 	ids := make([]string, 0, len(opt.Peers))
-	peers := make(map[string]*peer, len(opt.Peers))
 	selfSeen := false
 	for _, n := range opt.Peers {
 		if n.ID == "" || n.URL == "" {
 			return nil, fmt.Errorf("cluster: member %+v needs both an ID and a URL", n)
 		}
-		if _, dup := peers[n.ID]; dup || (selfSeen && n.ID == opt.Self) {
+		if _, dup := c.peers[n.ID]; dup || (selfSeen && n.ID == opt.Self) {
 			return nil, fmt.Errorf("cluster: duplicate member ID %q", n.ID)
 		}
 		ids = append(ids, n.ID)
@@ -217,35 +176,24 @@ func New(opt Options) (*Cluster, error) {
 			selfSeen = true
 			continue
 		}
-		peers[n.ID] = &peer{
-			id:     n.ID,
-			url:    strings.TrimRight(n.URL, "/"),
-			window: make(chan struct{}, opt.ForwardWindow),
-		}
+		p := &peer{id: n.ID, url: strings.TrimRight(n.URL, "/")}
+		base := http.DefaultTransport.(*http.Transport).Clone()
+		base.MaxConnsPerHost = maxPeerConns
+		p.hc = &http.Client{Transport: &peerTransport{c: c, p: p, base: base}}
+		c.peers[n.ID] = p
+		c.order = append(c.order, n.ID)
 	}
 	if !selfSeen {
 		return nil, fmt.Errorf("cluster: self ID %q not in the peer list", opt.Self)
 	}
-
-	c := &Cluster{
-		opt:   opt,
-		self:  opt.Self,
-		ring:  newRing(ids, DefaultVNodes),
-		peers: peers,
-		http:  &http.Client{},
-		log:   opt.Log,
-		done:  make(chan struct{}),
-	}
-	for id := range peers {
-		c.order = append(c.order, id)
-	}
+	c.ring = newRing(ids, DefaultVNodes)
 	sort.Strings(c.order)
 	c.initMetrics()
 
 	if opt.HealthInterval > 0 {
 		ctx, cancel := context.WithCancel(context.Background())
 		c.stop = cancel
-		go c.healthLoop(ctx)
+		go c.healthLoop(ctx, opt.HealthInterval)
 	} else {
 		close(c.done)
 	}
@@ -261,8 +209,6 @@ func (c *Cluster) initMetrics() {
 		map[string]string{"self": c.self, "members": strconv.Itoa(len(c.order) + 1)})
 	c.forwards = r.CounterVec("hybridsimd_cluster_forwards_total",
 		"Requests forwarded to a peer, by peer and outcome.", "peer", "outcome")
-	c.sheds = r.CounterVec("hybridsimd_cluster_sheds_total",
-		"Outbound work dropped by flow control, by reason.", "reason")
 	c.peerState = r.GaugeVec("hybridsimd_cluster_peer_state",
 		"Peer liveness: 2 alive, 1 suspect, 0 down.", "peer")
 	for _, id := range c.order {
@@ -283,11 +229,18 @@ func (c *Cluster) initMetrics() {
 // Metrics exposes the cluster's registry for attachment to /metrics.
 func (c *Cluster) Metrics() *metrics.Registry { return c.reg }
 
-// Self returns this daemon's member ID.
-func (c *Cluster) Self() string { return c.self }
+// Peer returns a remote member's base URL and the client every request to
+// it goes through; ok is false for self and for unknown IDs.
+func (c *Cluster) Peer(id string) (url string, hc *http.Client, ok bool) {
+	p, ok := c.peers[id]
+	if !ok {
+		return "", nil, false
+	}
+	return p.url, p.hc, true
+}
 
-// Close stops the health loop and refuses new outbound work. In-flight
-// forwards keep running; Drain waits for them.
+// Close stops the health loop and refuses new outbound requests. Requests
+// in flight keep running; Drain waits for them.
 func (c *Cluster) Close() {
 	if c.closed.Swap(true) {
 		return
@@ -298,7 +251,7 @@ func (c *Cluster) Close() {
 	}
 }
 
-// Drain blocks until every in-flight forward has finished,
+// Drain blocks until every request in flight to a peer has finished,
 // or ctx expires. The graceful-shutdown sequence is: stop the HTTP listener
 // (drains inbound, including requests peers forwarded here), Close (no new
 // outbound), Drain (flush outbound), then stop the worker pool.
@@ -341,139 +294,62 @@ func (c *Cluster) Owner(key string) (id string, local bool) {
 	return c.self, true
 }
 
-// Forward proxies one API request to a specific peer, bounded by the peer's
-// forward window (block up to the backlog, then shed with ErrSaturated) and
-// retried with backoff on transport errors and 429/503 rejections, honoring
-// Retry-After. Any HTTP response — including a final 429 — returns with a
-// nil error; err is only transport exhaustion or shedding, the cases where
-// the caller should degrade to local compute.
-func (c *Cluster) Forward(ctx context.Context, peerID, method, path string, body []byte) (status int, respBody []byte, err error) {
-	if c.closed.Load() {
-		return 0, nil, errors.New("cluster: closed")
-	}
-	p, ok := c.peers[peerID]
-	if !ok {
-		return 0, nil, fmt.Errorf("cluster: unknown peer %q", peerID)
-	}
-	if err := c.acquire(ctx, p); err != nil {
-		if errors.Is(err, ErrSaturated) {
-			c.sheds.With("forward-backlog").Inc()
-			c.forwards.With(p.id, "saturated").Inc()
-		}
-		return 0, nil, err
-	}
-	defer func() { <-p.window }()
-	c.wg.Add(1)
-	defer c.wg.Done()
-
-	var lastErr error
-	retryAfter := time.Duration(0)
-	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
-		if attempt > 0 {
-			if err := c.backoff(ctx, attempt, retryAfter); err != nil {
-				lastErr = err
-				break
-			}
-		}
-		req, err := http.NewRequestWithContext(ctx, method, p.url+path, bytes.NewReader(body))
-		if err != nil {
-			c.forwards.With(p.id, "error").Inc()
-			return 0, nil, err
-		}
-		if len(body) > 0 {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		req.Header.Set(ForwardedHeader, c.self)
-		resp, err := c.http.Do(req)
-		if err != nil {
-			lastErr = err
-			c.noteFailure(p, err)
-			continue
-		}
-		b, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		c.noteSuccess(p)
-		if (resp.StatusCode == http.StatusTooManyRequests ||
-			resp.StatusCode == http.StatusServiceUnavailable) && attempt < c.opt.Retries {
-			retryAfter = parseRetryAfter(resp.Header)
-			lastErr = fmt.Errorf("cluster: peer %s rejected with %s", p.id, resp.Status)
-			continue
-		}
-		c.forwards.With(p.id, "ok").Inc()
-		return resp.StatusCode, b, nil
-	}
-	c.forwards.With(p.id, "error").Inc()
-	return 0, nil, fmt.Errorf("cluster: forward to %s failed: %w", p.id, lastErr)
+// peerTransport is the round tripper of one peer's client. It refuses
+// requests after Close, stamps ForwardedHeader, counts each request in
+// flight until its response body is closed, and feeds transport errors and
+// answers into the peer's liveness.
+type peerTransport struct {
+	c    *Cluster
+	p    *peer
+	base *http.Transport
 }
 
-// acquire takes a forward slot on p: immediately if one is free, by waiting
-// (bounded by the backlog and ctx) otherwise. This is the bounded forward
-// queue: window in-flight plus backlog waiting, everything past that shed.
-func (c *Cluster) acquire(ctx context.Context, p *peer) error {
-	select {
-	case p.window <- struct{}{}:
-		return nil
-	default:
+func (t *peerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if t.c.closed.Load() {
+		return nil, errors.New("cluster: closed")
 	}
-	if int(p.waiters.Add(1)) > c.opt.ForwardBacklog {
-		p.waiters.Add(-1)
-		return ErrSaturated
+	t.c.wg.Add(1)
+	t.p.inFlight.Add(1)
+	req = req.Clone(req.Context())
+	req.Header.Set(ForwardedHeader, t.c.self)
+	resp, err := t.base.RoundTrip(req)
+	if err != nil {
+		t.done()
+		t.c.forwards.With(t.p.id, "error").Inc()
+		// A request its caller abandoned says nothing about the peer.
+		if req.Context().Err() == nil {
+			t.c.noteFailure(t.p, err)
+		}
+		return nil, err
 	}
-	defer p.waiters.Add(-1)
-	select {
-	case p.window <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	t.c.forwards.With(t.p.id, "ok").Inc()
+	t.c.noteSuccess(t.p)
+	resp.Body = &inFlightBody{ReadCloser: resp.Body, done: t.done}
+	return resp, nil
 }
 
-// backoff sleeps before retry attempt (1-based): exponential from
-// BackoffBase, capped, never shorter than the server's Retry-After.
-func (c *Cluster) backoff(ctx context.Context, attempt int, retryAfter time.Duration) error {
-	d := c.opt.BackoffBase << (attempt - 1)
-	if d > maxBackoff {
-		d = maxBackoff
-	}
-	if retryAfter > d {
-		d = retryAfter
-	}
-	if c.sleep != nil {
-		c.sleep(d)
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+func (t *peerTransport) done() {
+	t.p.inFlight.Add(-1)
+	t.c.wg.Done()
 }
 
-// parseRetryAfter reads a delay-seconds Retry-After; absent or malformed
-// reads as zero (the exponential backoff still applies).
-func parseRetryAfter(h http.Header) time.Duration {
-	raw := h.Get("Retry-After")
-	if raw == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(raw)
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
+// inFlightBody ends its request's in-flight count at the first Close.
+type inFlightBody struct {
+	io.ReadCloser
+	once sync.Once
+	done func()
+}
+
+func (b *inFlightBody) Close() error {
+	err := b.ReadCloser.Close()
+	b.once.Do(b.done)
+	return err
 }
 
 // healthLoop probes every peer until Close.
-func (c *Cluster) healthLoop(ctx context.Context) {
+func (c *Cluster) healthLoop(ctx context.Context, every time.Duration) {
 	defer close(c.done)
-	t := time.NewTicker(c.opt.HealthInterval)
+	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {
@@ -497,7 +373,7 @@ func (c *Cluster) PollOnce(ctx context.Context) {
 			continue
 		}
 		req.Header.Set(ForwardedHeader, c.self)
-		resp, err := c.http.Do(req)
+		resp, err := c.probe.Do(req)
 		if err == nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
@@ -554,7 +430,7 @@ type MemberInfo struct {
 	URL      string `json:"url,omitempty"`
 	State    string `json:"state"`
 	Fails    int    `json:"fails,omitempty"`
-	InFlight int    `json:"in_flight,omitempty"` // occupied forward slots
+	InFlight int    `json:"in_flight,omitempty"` // requests to the peer not yet answered in full
 	Self     bool   `json:"self,omitempty"`
 }
 
@@ -565,7 +441,7 @@ type Snapshot struct {
 	Members []MemberInfo `json:"members"`
 }
 
-// Info snapshots membership, liveness, and flow-control occupancy.
+// Info snapshots membership, liveness, and requests in flight.
 func (c *Cluster) Info() Snapshot {
 	s := Snapshot{Self: c.self, VNodes: DefaultVNodes}
 	s.Members = append(s.Members, MemberInfo{ID: c.self, State: Alive.String(), Self: true})
@@ -576,7 +452,7 @@ func (c *Cluster) Info() Snapshot {
 			URL:      p.url,
 			State:    State(p.state.Load()).String(),
 			Fails:    int(p.fails.Load()),
-			InFlight: len(p.window),
+			InFlight: int(p.inFlight.Load()),
 		})
 	}
 	sort.Slice(s.Members, func(i, j int) bool { return s.Members[i].ID < s.Members[j].ID })

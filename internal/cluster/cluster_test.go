@@ -2,11 +2,9 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -34,24 +32,15 @@ func newFakePeer(t *testing.T) *fakePeer {
 
 func (p *fakePeer) set(h http.HandlerFunc) { p.handler.Store(h) }
 
-// newTestCluster builds a cluster for self "a" with the given remote fakes,
-// health loop disabled (tests drive PollOnce), and fast deadlines.
-func newTestCluster(t *testing.T, remotes map[string]*fakePeer, mutate func(*Options)) *Cluster {
+// newTestCluster builds a cluster for self "a" with the given remote fakes
+// and the health loop disabled (tests drive PollOnce).
+func newTestCluster(t *testing.T, remotes map[string]*fakePeer) *Cluster {
 	t.Helper()
 	peers := []Node{{ID: "a", URL: "http://unused-self"}}
 	for id, p := range remotes {
 		peers = append(peers, Node{ID: id, URL: p.ts.URL})
 	}
-	opt := Options{
-		Self:           "a",
-		Peers:          peers,
-		HealthInterval: -1,
-		BackoffBase:    time.Millisecond,
-	}
-	if mutate != nil {
-		mutate(&opt)
-	}
-	c, err := New(opt)
+	c, err := New(Options{Self: "a", Peers: peers, HealthInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +63,7 @@ func TestNewRejectsBadMembership(t *testing.T) {
 // the next ranked member — and returns when it answers a probe again.
 func TestOwnerSkipsDownPeers(t *testing.T) {
 	b := newFakePeer(t)
-	c := newTestCluster(t, map[string]*fakePeer{"b": b}, nil)
+	c := newTestCluster(t, map[string]*fakePeer{"b": b})
 
 	// Find a key b owns while alive.
 	key := ""
@@ -111,126 +100,98 @@ func TestOwnerSkipsDownPeers(t *testing.T) {
 	}
 }
 
-// TestForwardRetries429HonoringRetryAfter: a shed answer is retried after at
-// least the server's Retry-After, through the hooked clock — no real sleeps.
-func TestForwardRetries429HonoringRetryAfter(t *testing.T) {
-	b := newFakePeer(t)
-	var calls atomic.Int32
-	b.set(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			w.Header().Set("Retry-After", "3")
-			w.WriteHeader(http.StatusTooManyRequests)
-			return
-		}
-		w.Write([]byte("accepted"))
-	})
-	c := newTestCluster(t, map[string]*fakePeer{"b": b}, nil)
-	var slept []time.Duration
-	c.sleep = func(d time.Duration) { slept = append(slept, d) }
-
-	status, body, err := c.Forward(context.Background(), "b", http.MethodPost, "/v1/runs", []byte(`{}`))
-	if err != nil || status != http.StatusOK || string(body) != "accepted" {
-		t.Fatalf("Forward = %d %q %v, want 200 accepted", status, body, err)
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("peer saw %d calls, want 2 (one shed, one retry)", calls.Load())
-	}
-	if len(slept) != 1 || slept[0] < 3*time.Second {
-		t.Fatalf("backoff slept %v, want one wait >= the 3s Retry-After", slept)
-	}
-}
-
-// TestForwardReturnsFinal429: retries exhausted on a persistent shed hand
-// the 429 back (nil error) so the service can relay it to the client.
-func TestForwardReturnsFinal429(t *testing.T) {
-	b := newFakePeer(t)
-	b.set(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusTooManyRequests)
-	})
-	c := newTestCluster(t, map[string]*fakePeer{"b": b}, nil)
-	c.sleep = func(time.Duration) {}
-
-	status, _, err := c.Forward(context.Background(), "b", http.MethodPost, "/v1/runs", nil)
-	if err != nil || status != http.StatusTooManyRequests {
-		t.Fatalf("Forward = %d, %v, want a relayed 429 with nil error", status, err)
-	}
-}
-
-// TestForwardShedsPastBacklog: window full and backlog full means the next
-// forward is shed immediately with ErrSaturated, not queued forever.
-func TestForwardShedsPastBacklog(t *testing.T) {
-	b := newFakePeer(t)
-	release := make(chan struct{})
-	var inflight sync.WaitGroup
-	b.set(func(w http.ResponseWriter, r *http.Request) {
-		<-release
-		w.WriteHeader(http.StatusOK)
-	})
-	c := newTestCluster(t, map[string]*fakePeer{"b": b}, func(o *Options) {
-		o.ForwardWindow = 1
-		o.ForwardBacklog = 1
-		o.Retries = -1
-	})
-
-	started := make(chan struct{}, 2)
-	for i := 0; i < 2; i++ { // one occupies the window, one waits in backlog
-		inflight.Add(1)
-		go func() {
-			defer inflight.Done()
-			started <- struct{}{}
-			c.Forward(context.Background(), "b", http.MethodGet, "/v1/stats", nil)
-		}()
-	}
-	<-started
-	<-started
-	// Wait until the window slot is taken and the second caller is counted
-	// as a waiter, so the third call must shed.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if len(c.peers["b"].window) == 1 && c.peers["b"].waiters.Load() == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("window/backlog never filled: window=%d waiters=%d",
-				len(c.peers["b"].window), c.peers["b"].waiters.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	_, _, err := c.Forward(context.Background(), "b", http.MethodGet, "/v1/stats", nil)
-	if !errors.Is(err, ErrSaturated) {
-		t.Fatalf("third forward err = %v, want ErrSaturated", err)
-	}
-	close(release)
-	inflight.Wait()
-}
-
-// TestRequestPathFailuresDemotePeer: transport errors on Forward feed the
+// TestRequestPathFailuresDemotePeer: requests through Peer's client carry
+// the sender's ID in ForwardedHeader, and their transport errors feed the
 // same liveness counter as health probes — a peer dying mid-sweep goes down
-// without waiting for the poll interval.
+// without waiting for the poll interval, while a request its caller
+// abandoned does not count. Every request leaves the in-flight count.
 func TestRequestPathFailuresDemotePeer(t *testing.T) {
 	b := newFakePeer(t)
-	c := newTestCluster(t, map[string]*fakePeer{"b": b}, func(o *Options) {
-		o.Retries = -1
+	var from atomic.Value
+	b.set(func(w http.ResponseWriter, r *http.Request) {
+		from.Store(r.Header.Get(ForwardedHeader))
+		w.WriteHeader(http.StatusOK)
 	})
-	b.ts.Close() // connection refused from here on
+	c := newTestCluster(t, map[string]*fakePeer{"b": b})
+	url, hc, ok := c.Peer("b")
+	if !ok || url != b.ts.URL {
+		t.Fatalf("Peer(b) = %q, %v; want %q", url, ok, b.ts.URL)
+	}
+	if _, _, ok := c.Peer("a"); ok {
+		t.Fatal("Peer(self) reported a remote member")
+	}
+	get := func() error {
+		resp, err := hc.Get(url + "/v1/stats")
+		if err == nil {
+			resp.Body.Close()
+		}
+		return err
+	}
 
+	if err := get(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := from.Load().(string); got != "a" {
+		t.Fatalf("%s = %q, want the sender's ID %q", ForwardedHeader, got, "a")
+	}
+
+	// Requests their callers abandoned say nothing about the peer.
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
 	for i := 0; i < DefaultDownAfter; i++ {
-		if _, _, err := c.Forward(context.Background(), "b", http.MethodGet, "/v1/stats", nil); err == nil {
-			t.Fatal("forward to a closed peer succeeded")
+		req, _ := http.NewRequestWithContext(gone, http.MethodGet, url+"/v1/stats", nil)
+		if _, err := hc.Do(req); err == nil {
+			t.Fatal("request with a canceled context succeeded")
+		}
+	}
+	if st := c.state("b"); st != Alive {
+		t.Fatalf("b state = %v after abandoned requests, want alive", st)
+	}
+
+	b.ts.Close() // connection refused from here on
+	for i := 0; i < DefaultDownAfter; i++ {
+		if get() == nil {
+			t.Fatal("request to a closed peer succeeded")
 		}
 	}
 	if st := c.state("b"); st != Down {
 		t.Fatalf("b state = %v after %d transport failures, want down", st, DefaultDownAfter)
 	}
+	for _, m := range c.Info().Members {
+		if m.InFlight != 0 {
+			t.Fatalf("member %s in flight = %d after every request ended, want 0", m.ID, m.InFlight)
+		}
+	}
 }
 
-// TestClosedClusterRefusesWork: after Close, outbound paths are inert.
+// TestClosedClusterRefusesWork: after Close, Peer's client refuses requests
+// to a peer that still answers, and Drain returns once nothing is in flight.
 func TestClosedClusterRefusesWork(t *testing.T) {
 	b := newFakePeer(t)
-	c := newTestCluster(t, map[string]*fakePeer{"b": b}, nil)
+	b.set(func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusOK) })
+	c := newTestCluster(t, map[string]*fakePeer{"b": b})
+	url, hc, ok := c.Peer("b")
+	if !ok {
+		t.Fatal("Peer(b) not found")
+	}
+	get := func() error {
+		resp, err := hc.Get(url + "/v1/stats")
+		if err == nil {
+			resp.Body.Close()
+		}
+		return err
+	}
+	if err := get(); err != nil {
+		t.Fatalf("request before Close: %v", err)
+	}
+
 	c.Close()
-	if _, _, err := c.Forward(context.Background(), "b", http.MethodGet, "/", nil); err == nil {
-		t.Fatal("Forward succeeded on a closed cluster")
+	if get() == nil {
+		t.Fatal("request succeeded on a closed cluster")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := c.Drain(ctx); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -32,12 +32,9 @@ type Client struct {
 	// transient unavailability (503); zero means fail on the first such
 	// answer. Every request path retries — submissions, sweeps, plans, and
 	// the GET endpoints — so a plan or sweep survives a busy fleet member.
-	// Each retry honors the server's Retry-After hint when present, else
-	// backs off exponentially from Backoff.
+	// Each retry waits the longer of an exponential backoff and the
+	// server's Retry-After hint (see doRetry).
 	Retries int
-
-	// Backoff seeds the exponential retry delay; zero means 100ms.
-	Backoff time.Duration
 
 	// sleep overrides the retry delay (tests); nil means a context-aware
 	// real sleep.
@@ -71,16 +68,20 @@ func apiError(resp *http.Response) error {
 	return fmt.Errorf("service: %s: %s", resp.Status, bytes.TrimSpace(body))
 }
 
+// Retry pacing: the exponential backoff starts at retryBackoff and is capped
+// at maxRetryBackoff; a longer Retry-After hint still wins.
+const (
+	retryBackoff    = 100 * time.Millisecond
+	maxRetryBackoff = 5 * time.Second
+)
+
 // doRetry issues mk()'s request, retrying shed (429) and unavailable (503)
 // answers up to c.Retries times. mk builds a fresh request per attempt so
-// bodies replay. The delay is the server's Retry-After hint when present,
-// else exponential from Backoff; any other response (or a transport error)
-// returns immediately.
+// bodies replay. Each delay is the longer of the capped exponential backoff
+// and the server's Retry-After hint; any other response (or a transport
+// error) returns immediately. It is the daemon's only retry loop: fleet
+// forwards go through a Client too.
 func (c *Client) doRetry(ctx context.Context, mk func() (*http.Request, error)) (*http.Response, error) {
-	backoff := c.Backoff
-	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
-	}
 	for attempt := 0; ; attempt++ {
 		req, err := mk()
 		if err != nil {
@@ -95,11 +96,9 @@ func (c *Client) doRetry(ctx context.Context, mk func() (*http.Request, error)) 
 		if !retryable || attempt >= c.Retries {
 			return resp, nil
 		}
-		delay := backoff << attempt
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, err := strconv.Atoi(ra); err == nil && secs >= 0 {
-				delay = time.Duration(secs) * time.Second
-			}
+		delay := min(retryBackoff<<min(attempt, 16), maxRetryBackoff)
+		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil {
+			delay = max(delay, time.Duration(secs)*time.Second)
 		}
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		resp.Body.Close()

@@ -111,6 +111,10 @@ type Options struct {
 	Cluster *cluster.Cluster
 }
 
+// peerRetries is how many times a request to a peer that answered 429 or
+// 503 is reissued; a forward whose retries run out is admitted locally.
+const peerRetries = 2
+
 // Defaults for Options zero values.
 const (
 	DefaultQueueDepth   = 256
@@ -131,7 +135,8 @@ var ErrQueueFull = errors.New("service: job queue full")
 type Server struct {
 	workers int
 	cache   *rescache.Cache
-	cluster *cluster.Cluster // nil outside fleet mode
+	cluster *cluster.Cluster   // nil outside fleet mode
+	peers   map[string]*Client // by member ID: the one hop to each peer
 	queue   chan *job
 	qmu     sync.Mutex
 	freed   chan struct{} // closed and replaced at every worker pickup
@@ -301,6 +306,14 @@ func New(opt Options) *Server {
 		start:       time.Now(),
 		timelines:   make(map[string]*telemetry.TimeSeries),
 		timelineCap: tcap,
+	}
+	if s.cluster != nil {
+		s.peers = make(map[string]*Client)
+		for _, m := range s.cluster.Info().Members {
+			if url, hc, ok := s.cluster.Peer(m.ID); ok {
+				s.peers[m.ID] = &Client{Base: url, HTTP: hc, Retries: peerRetries}
+			}
+		}
 	}
 	s.initMetrics()
 	for i := 0; i < workers; i++ {
@@ -554,26 +567,15 @@ func (s *Server) forward(j *job, owner string) {
 // record must be the run it claims to be: a confused peer must not poison
 // the local cache.
 func (s *Server) askOwner(j *job, owner string) (RunRecord, error) {
-	body, err := json.Marshal(SubmitRequest{Spec: &j.spec})
+	runs, err := s.peers[owner].Submit(j.ctx, SubmitRequest{Spec: &j.spec}, true, 0)
 	if err != nil {
 		return RunRecord{}, err
 	}
-	status, resp, err := s.cluster.Forward(j.ctx, owner, http.MethodPost, "/v1/runs?wait=true", body)
-	if err != nil {
-		return RunRecord{}, err
-	}
-	if status != http.StatusOK {
-		return RunRecord{}, fmt.Errorf("owner answered %d", status)
-	}
-	var sr SubmitResponse
-	if err := json.Unmarshal(resp, &sr); err != nil {
-		return RunRecord{}, err
-	}
-	if len(sr.Runs) != 1 || sr.Runs[0].Status != string(statusDone) ||
-		sr.Runs[0].Results == nil || sr.Runs[0].Spec.Hash() != j.key {
+	if len(runs) != 1 || runs[0].Status != string(statusDone) ||
+		runs[0].Results == nil || runs[0].Spec.Hash() != j.key {
 		return RunRecord{}, errors.New("owner's answer is not the completed run")
 	}
-	return sr.Runs[0], nil
+	return runs[0], nil
 }
 
 // execute is the compute stage: one worker runs one job through the cache.
@@ -1224,8 +1226,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeShed answers a refused submission. The queue is a transient
-// condition, so this is 429 with a retry hint rather than 503: clients and
-// peers back off and resubmit (see cluster.Forward and Client retries).
+// condition, so this is 429 with a retry hint rather than 503: clients back
+// off and resubmit in Client.doRetry, and so do peers, whose forwards go
+// through the same Client.
 func writeShed(w http.ResponseWriter, err error) {
 	w.Header().Set("Retry-After", "1")
 	writeError(w, http.StatusTooManyRequests, err)
@@ -1250,11 +1253,8 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	// its ring owner. One hop only.
 	if s.cluster != nil && r.Header.Get(cluster.ForwardedHeader) == "" {
 		if owner, local := s.cluster.Owner(key); !local {
-			status, resp, err := s.cluster.Forward(r.Context(), owner, http.MethodGet, r.URL.Path, nil)
-			if err == nil && status == http.StatusOK {
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(status)
-				w.Write(resp)
+			if rec, err := s.peers[owner].Get(r.Context(), key); err == nil {
+				writeJSON(w, http.StatusOK, rec)
 				return
 			}
 		}

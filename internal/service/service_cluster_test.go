@@ -19,11 +19,12 @@ import (
 )
 
 // fleetNode is one in-process fleet member: a full daemon plus its cluster
-// view, served over httptest.
+// view, served over httptest through a swappable handler.
 type fleetNode struct {
-	srv    *Server
-	cl     *cluster.Cluster
-	client *Client
+	srv     *Server
+	cl      *cluster.Cluster
+	client  *Client
+	handler *atomic.Value // http.Handler
 }
 
 // newFleet stands up len(ids) federated daemons. Each member's URL must be
@@ -47,12 +48,7 @@ func newFleet(t *testing.T, ids []string, opt Options) map[string]*fleetNode {
 	}
 	fleet := make(map[string]*fleetNode, len(ids))
 	for i, id := range ids {
-		cl, err := cluster.New(cluster.Options{
-			Self:           id,
-			Peers:          members,
-			HealthInterval: -1,
-			BackoffBase:    time.Millisecond,
-		})
+		cl, err := cluster.New(cluster.Options{Self: id, Peers: members, HealthInterval: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +60,7 @@ func newFleet(t *testing.T, ids []string, opt Options) map[string]*fleetNode {
 		t.Cleanup(srv.Close)
 		handlers[id].Store(srv.Handler())
 		fleet[id] = &fleetNode{srv: srv, cl: cl,
-			client: &Client{Base: members[i].URL}}
+			client: &Client{Base: members[i].URL}, handler: handlers[id]}
 	}
 	return fleet
 }
@@ -165,6 +161,56 @@ func TestFleetListSubmissionComputesOnOwner(t *testing.T) {
 	}
 	if pf := fleet[other].srv.cache.Stats().PeerFills; pf != 1 {
 		t.Fatalf("non-owner PeerFills = %d, want 1 (the adopted answer)", pf)
+	}
+}
+
+// TestFleetOwnerShedFallsBackLocally: an owner that sheds every forwarded
+// POST is retried twice on the non-owner's peer client, whose clock is
+// hooked so nothing really sleeps; the run is then admitted locally and
+// answered done, computed by the non-owner and never by the owner.
+func TestFleetOwnerShedFallsBackLocally(t *testing.T) {
+	fleet := newFleet(t, []string{"a", "b"}, Options{Workers: 2, QueueDepth: 16})
+	spec := tinySpec("EP", config.CacheBased)
+	owner, _ := fleet["a"].cl.Owner(spec.Hash())
+	other := "b"
+	if owner == "b" {
+		other = "a"
+	}
+
+	var sheds atomic.Int32
+	inner := fleet[owner].handler.Load().(http.Handler)
+	fleet[owner].handler.Store(http.Handler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.Header.Get(cluster.ForwardedHeader) != "" {
+			sheds.Add(1)
+			writeShed(w, ErrQueueFull)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	})))
+	var slept []time.Duration
+	fleet[other].srv.peers[owner].sleep = func(ctx context.Context, d time.Duration) error {
+		slept = append(slept, d)
+		return nil
+	}
+
+	rec, err := fleet[other].client.Run(context.Background(), spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Status != "done" || rec.Results == nil {
+		t.Fatalf("record = %+v, want done with results", rec)
+	}
+	if got := sheds.Load(); got != 1+peerRetries {
+		t.Fatalf("owner shed %d forwards, want %d (the first and %d retries)", got, 1+peerRetries, peerRetries)
+	}
+	if len(slept) != peerRetries {
+		t.Fatalf("peer client waited %d times, want %d", len(slept), peerRetries)
+	}
+	if m := fleet[owner].srv.cache.Stats().Misses; m != 0 {
+		t.Fatalf("owner misses = %d, want 0 (it shed every forward)", m)
+	}
+	if m := fleet[other].srv.cache.Stats().Misses; m != 1 {
+		t.Fatalf("non-owner misses = %d, want 1 (the local fallback)", m)
 	}
 }
 
@@ -313,5 +359,38 @@ func TestClientRetriesShedUnderConcurrency(t *testing.T) {
 		if d != time.Second {
 			t.Fatalf("backoff wait = %v, want the server's 1s Retry-After", d)
 		}
+	}
+}
+
+// TestClientRetriesHonorRetryAfter: a shed answer is retried once, after a
+// wait of at least the server's Retry-After, through the hooked clock — no
+// real sleeps.
+func TestClientRetriesHonorRetryAfter(t *testing.T) {
+	var calls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			w.Header().Set("Retry-After", "3")
+			w.WriteHeader(http.StatusTooManyRequests)
+			return
+		}
+		w.Write([]byte(`{"runs":[{"key":"k","status":"done"}]}`))
+	}))
+	t.Cleanup(ts.Close)
+	var slept []time.Duration
+	client := &Client{Base: ts.URL, Retries: 2,
+		sleep: func(ctx context.Context, d time.Duration) error {
+			slept = append(slept, d)
+			return nil
+		}}
+
+	runs, err := client.Submit(context.Background(), SubmitRequest{}, true, 0)
+	if err != nil || len(runs) != 1 || runs[0].Key != "k" {
+		t.Fatalf("Submit = %+v, %v; want the one accepted record", runs, err)
+	}
+	if calls.Load() != 2 {
+		t.Fatalf("server saw %d calls, want 2 (one shed, one retry)", calls.Load())
+	}
+	if len(slept) != 1 || slept[0] < 3*time.Second {
+		t.Fatalf("retry waits %v, want one wait >= the 3s Retry-After", slept)
 	}
 }

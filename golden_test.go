@@ -66,7 +66,7 @@ func dumpRun(t *testing.T, w *bytes.Buffer, spec system.Spec) {
 	fmt.Fprintf(w, "engine: now=%d fired=%d\n", m.Eng.Now(), m.Eng.Fired())
 	lat := m.Mesh.Latency()
 	fmt.Fprintf(w, "mesh latency: %s\n", lat.String())
-	w.WriteString(m.Mesh.Counters().String())
+	w.WriteString(m.Mesh.String())
 	w.WriteString(m.Hier.Stats().String())
 	if m.Protocol != nil {
 		w.WriteString(m.Protocol.Stats().String())

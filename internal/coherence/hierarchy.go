@@ -160,9 +160,6 @@ func (h *Hierarchy) SetTrace(tr *telemetry.Trace) { h.tr = tr }
 // LineAddr converts a byte address to a line address.
 func (h *Hierarchy) LineAddr(addr uint64) uint64 { return addr >> h.lineShift }
 
-// LineShift exposes log2(line size).
-func (h *Hierarchy) LineShift() uint { return h.lineShift }
-
 // homeOf returns the L2/directory slice owning a line (static interleave).
 func (h *Hierarchy) homeOf(line uint64) *l2slice {
 	return h.slices[line%uint64(len(h.slices))]

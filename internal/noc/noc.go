@@ -13,6 +13,8 @@ package noc
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -252,13 +254,25 @@ func (m *Mesh) TotalFlitHops() uint64 {
 // Latency returns the packet latency distribution observed so far.
 func (m *Mesh) Latency() stats.Dist { return m.latency }
 
-// Counters exports all traffic counters as a stats.Set (used by reports).
-func (m *Mesh) Counters() *stats.Set {
-	s := stats.NewSet("noc")
-	for c := Category(0); c < NumCategories; c++ {
-		s.Add("pkts."+c.String(), m.pkts[c])
-		s.Add("flits."+c.String(), m.flits[c])
-		s.Add("flithops."+c.String(), m.flitHops[c])
+// String renders every traffic counter, zeros included, under a "noc:"
+// header: one per line, sorted by name, in the stats.Counters layout.
+func (m *Mesh) String() string {
+	type row struct {
+		name string
+		v    uint64
 	}
-	return s
+	rows := make([]row, 0, 3*NumCategories)
+	for c := Category(0); c < NumCategories; c++ {
+		rows = append(rows,
+			row{"pkts." + c.String(), m.pkts[c]},
+			row{"flits." + c.String(), m.flits[c]},
+			row{"flithops." + c.String(), m.flitHops[c]})
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
+	var b strings.Builder
+	b.WriteString("noc:\n")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "  %-32s %12d\n", r.name, r.v)
+	}
+	return b.String()
 }

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -136,9 +137,15 @@ func TestTrafficAccounting(t *testing.T) {
 	if got := m.FlitHops(CohProt); got != 1 {
 		t.Fatalf("FlitHops(CohProt) = %d, want 1", got)
 	}
-	c := m.Counters()
-	if c.Get("pkts.Read") != 1 || c.Get("flithops.DMA") != 8 {
-		t.Fatalf("Counters() wrong: %v", c)
+	out := m.String()
+	for _, line := range []string{
+		"\n  flithops.DMA                                8\n",
+		"\n  pkts.Ifetch                                 0\n",
+		"\n  pkts.Read                                   1\n",
+	} {
+		if !strings.Contains(out, line) {
+			t.Fatalf("String() lacks %q:\n%s", line, out)
+		}
 	}
 }
 

@@ -197,9 +197,11 @@ func (s *Server) timeline(key string) (*telemetry.TimeSeries, bool) {
 	return ts, ok
 }
 
-func (s *Server) hasTimeline(key string) bool {
-	_, ok := s.timeline(key)
-	return ok
+// hasTimeline reports whether the stored timeline for key was sampled every
+// interval cycles. The store keeps only the latest timeline per key.
+func (s *Server) hasTimeline(key string, interval uint64) bool {
+	ts, ok := s.timeline(key)
+	return ok && ts.Interval == interval
 }
 
 // initMetrics registers the daemon's operational metrics. Queue, worker,
@@ -399,9 +401,10 @@ func (s *Server) acquire(spec system.Spec, key string, w waiter) (*job, error) {
 		err = fmt.Errorf("service: shutting down: %w", err)
 		return endedJob(spec, key, system.Results{}, err), err
 	}
-	// A telemetry request takes the cache answer only when the timeline
-	// exists too; otherwise the run is executed (once) to produce it.
-	if e, ok := s.cache.EntryKey(key); ok && (!w.observed() || s.hasTimeline(key)) {
+	// A telemetry request takes the cache answer only when a timeline at
+	// its interval exists too; otherwise the run is executed (once) to
+	// produce it.
+	if e, ok := s.cache.EntryKey(key); ok && (!w.observed() || s.hasTimeline(key, w.tel.Interval)) {
 		return endedJob(spec, key, e.Res, nil), nil
 	}
 	j, fresh := s.register(spec, key, w)
@@ -419,8 +422,9 @@ func (s *Server) acquire(spec system.Spec, key string, w waiter) (*job, error) {
 
 // register joins w to the registered job for key, or registers a fresh
 // one (fresh reports which). A telemetry waiter upgrades a job no worker
-// has started; one already running cannot grow a timeline, so the waiter
-// gets a fresh job that runs after it.
+// has started; one already running cannot grow a timeline, and one that
+// records at another interval cannot serve it, so the waiter gets a fresh
+// job that runs after it.
 func (s *Server) register(spec system.Spec, key string, w waiter) (j *job, fresh bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -705,20 +709,24 @@ func endedJob(spec system.Spec, key string, res system.Results, err error) *job 
 
 // join reports whether w can wait on j: j has not ended, still has
 // waiters, and will produce what w needs — upgrading it to record a
-// timeline when no worker has started it yet.
+// timeline when no worker has started it yet. A job that records at another
+// interval cannot serve w.
 func (j *job) join(w waiter) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.ctx.Err() != nil || (j.status != statusPending && j.status != statusRunning) {
 		return false
 	}
-	if w.observed() && j.tel == nil {
+	if !w.observed() {
+		return true
+	}
+	if j.tel == nil {
 		if j.status != statusPending {
 			return false
 		}
 		j.tel = w.tel
 	}
-	return true
+	return j.tel.Interval == w.tel.Interval
 }
 
 // observed reports whether j must leave a timeline.

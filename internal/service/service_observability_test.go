@@ -325,3 +325,87 @@ func TestTelemetryJoiningPendingRunGetsTimeline(t *testing.T) {
 		t.Fatalf("timeline interval %d with %d epochs, want 64 and some", ts.Interval, len(ts.Epochs))
 	}
 }
+
+// TestTelemetryIntervalIsHonoured: a stored timeline answers only a request
+// for its own interval. Another interval re-executes the run, and the store
+// then holds the newer timeline.
+func TestTelemetryIntervalIsHonoured(t *testing.T) {
+	_, client := newTestDaemon(t, Options{Workers: 1, QueueDepth: 4})
+	ctx := context.Background()
+	spec := tinySpec("EP", config.CacheBased)
+	submit := func(interval uint64) RunRecord {
+		t.Helper()
+		recs, err := client.Submit(ctx, SubmitRequest{
+			Spec:      &spec,
+			Telemetry: &TelemetryOptions{Interval: interval},
+		}, true, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 1 || recs[0].Status != "done" {
+			t.Fatalf("interval %d: records = %+v, want one done run", interval, recs)
+		}
+		ts, err := client.Timeline(ctx, recs[0].Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ts.Interval != interval {
+			t.Fatalf("asked for interval %d, timeline has %d", interval, ts.Interval)
+		}
+		return recs[0]
+	}
+	submit(64)
+	if rec := submit(128); rec.Cached {
+		t.Error("a request for interval 128 was answered from the interval-64 run")
+	}
+	if rec := submit(128); !rec.Cached {
+		t.Error("a repeat at the stored interval was not served from cache")
+	}
+	st, err := client.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cache.Misses != 2 {
+		t.Errorf("Misses = %d, want 2 (one run per interval)", st.Cache.Misses)
+	}
+}
+
+// TestTelemetryDoesNotJoinOtherInterval: a telemetry request that finds the
+// spec queued for another interval does not join it; it runs after it and
+// gets its own interval.
+func TestTelemetryDoesNotJoinOtherInterval(t *testing.T) {
+	srv, client := newTestDaemon(t, Options{Workers: 1, QueueDepth: 4})
+	ctx := context.Background()
+
+	// Hold the only worker, then queue an interval-64 run behind it.
+	slow := system.Spec{System: config.HybridReal, Benchmark: "CG", Scale: workloads.Small, Overrides: config.Overrides{Cores: 16}}
+	if _, err := client.Submit(ctx, SubmitRequest{Spec: &slow}, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	waitForBusyWorker(t, srv)
+	spec := tinySpec("EP", config.CacheBased)
+	if _, err := client.Submit(ctx, SubmitRequest{
+		Spec:      &spec,
+		Telemetry: &TelemetryOptions{Interval: 64},
+	}, false, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	recs, err := client.Submit(ctx, SubmitRequest{
+		Spec:      &spec,
+		Telemetry: &TelemetryOptions{Interval: 128},
+	}, true, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Status != "done" {
+		t.Fatalf("telemetry records = %+v, want one done run", recs)
+	}
+	ts, err := client.Timeline(ctx, recs[0].Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts.Interval != 128 {
+		t.Fatalf("timeline interval %d, want 128", ts.Interval)
+	}
+}

@@ -246,6 +246,49 @@ func TestQueueFullSheds429(t *testing.T) {
 	}
 }
 
+// TestPartialShedResubmitsWholeBody pins what a 429 on a multi-spec POST
+// means: resubmit the whole body. The specs admitted before the shed keep
+// running, and the resubmission finds them in the cache (or joins them), so
+// nothing is computed twice.
+func TestPartialShedResubmitsWholeBody(t *testing.T) {
+	srv, client := newTestDaemon(t, Options{Workers: 1, QueueDepth: 1})
+	ctx := context.Background()
+
+	slow := system.Spec{System: config.HybridReal, Benchmark: "CG", Scale: workloads.Small, Overrides: config.Overrides{Cores: 16}}
+	if _, err := client.Submit(ctx, SubmitRequest{Spec: &slow}, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	waitForBusyWorker(t, srv)
+
+	// EP takes the one queue slot; IS is shed, and so is the request.
+	ep, is := tinySpec("EP", config.CacheBased), tinySpec("IS", config.CacheBased)
+	body := SubmitRequest{Specs: []system.Spec{ep, is}}
+	if _, err := client.Submit(ctx, body, false, 0); err == nil || !strings.Contains(err.Error(), "429") {
+		t.Fatalf("multi-spec submit err = %v, want 429", err)
+	}
+	if rec, err := client.Wait(ctx, ep.Hash(), 10*time.Millisecond); err != nil || rec.Status != "done" {
+		t.Fatalf("EP admitted before the shed: %+v, %v; want it run to done", rec, err)
+	}
+
+	recs, err := client.Submit(ctx, body, true, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].Status != "done" || recs[1].Status != "done" {
+		t.Fatalf("resubmission records = %+v, want two done runs", recs)
+	}
+	if !recs[0].Cached {
+		t.Error("resubmitted EP was computed again, want it from the cache")
+	}
+	st, err := client.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cache.Misses != 3 {
+		t.Errorf("Misses = %d, want 3 (CG, EP and IS once each)", st.Cache.Misses)
+	}
+}
+
 // waitForBusyWorker blocks until the queue has been drained by the worker,
 // i.e. the slow job left the queue and is executing.
 func waitForBusyWorker(t *testing.T, srv *Server) {

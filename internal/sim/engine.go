@@ -118,8 +118,7 @@ type Engine struct {
 	// amortized O(1) across a run.
 	scanHint Time
 
-	fired  uint64
-	halted bool
+	fired uint64
 }
 
 // NewEngine returns an empty engine at cycle 0.
@@ -245,11 +244,8 @@ func (e *Engine) drainTo(limit Time) {
 }
 
 // Step executes the single earliest event. It reports false when the queue is
-// empty or the engine has been halted.
+// empty.
 func (e *Engine) Step() bool {
-	if e.halted {
-		return false
-	}
 	if e.ringCount == 0 {
 		if len(e.overflow) == 0 {
 			return false
@@ -302,7 +298,9 @@ func (e *Engine) nextTime() (Time, bool) {
 	return 0, false
 }
 
-// Run executes events until the queue drains or Halt is called.
+// Run executes events until the queue drains. A caller that must stop
+// earlier drives Step itself, as system.Machine.RunContext does for context
+// cancellation and the event budget.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
@@ -311,7 +309,7 @@ func (e *Engine) Run() {
 // RunUntil executes events with timestamps <= limit, leaving later events
 // queued. The clock is advanced to limit if the queue drains earlier.
 func (e *Engine) RunUntil(limit Time) {
-	for !e.halted {
+	for {
 		t, ok := e.nextTime()
 		if !ok || t > limit {
 			break
@@ -322,13 +320,6 @@ func (e *Engine) RunUntil(limit Time) {
 		e.now = limit
 	}
 }
-
-// Halt stops the engine: Run and Step become no-ops. Pending events remain
-// queued so state can still be inspected.
-func (e *Engine) Halt() { e.halted = true }
-
-// Halted reports whether Halt has been called.
-func (e *Engine) Halted() bool { return e.halted }
 
 // ---------------------------------------------------------------------------
 // Typed overflow min-heap — hand-rolled so far-horizon events pay no

@@ -109,23 +109,6 @@ func TestRunUntilAdvancesClockWhenIdle(t *testing.T) {
 	}
 }
 
-func TestHaltStopsExecution(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.Schedule(1, func() { count++; e.Halt() })
-	e.Schedule(2, func() { count++ })
-	e.Run()
-	if count != 1 {
-		t.Fatalf("count = %d, want 1 (Halt must stop further events)", count)
-	}
-	if !e.Halted() {
-		t.Fatal("Halted() = false after Halt")
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1 (halted events stay queued)", e.Pending())
-	}
-}
-
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(10, func() {})

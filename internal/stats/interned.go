@@ -37,9 +37,7 @@ func (r *Reg) Handle(name string) Handle {
 }
 
 // Counters is an interned counter set: one slot per registered name. It
-// renders exactly like Set — only touched (nonzero) counters appear, sorted
-// by name — so swapping a component from Set to Counters is invisible in
-// report output.
+// renders only touched (nonzero) counters, sorted by name, one per line.
 type Counters struct {
 	name string
 	reg  *Reg
@@ -92,8 +90,8 @@ func (c *Counters) AllNames() []string {
 	return out
 }
 
-// String renders the set one counter per line, byte-compatible with
-// Set.String.
+// String renders the set under a "name:" header, one touched counter per
+// line as "  %-32s %12d", sorted by name.
 func (c *Counters) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s:\n", c.name)

@@ -1,63 +1,11 @@
-// Package stats provides the counters and small aggregations used by every
-// hardware model to report what happened during a simulation. All output is
-// deterministically ordered so runs diff cleanly.
+// Package stats provides the counter container the hardware models report
+// through — a build-time name registry (Reg) whose per-instance Counters are
+// flat slices indexed by Handle — plus Dist, a streaming distribution
+// summary. All output is deterministically ordered so runs diff
+// cleanly.
 package stats
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
-
-// Set is a named group of monotonically increasing counters. The zero value
-// is not usable; construct with NewSet.
-type Set struct {
-	name string
-	m    map[string]uint64
-}
-
-// NewSet returns an empty counter set with the given name.
-func NewSet(name string) *Set {
-	return &Set{name: name, m: make(map[string]uint64)}
-}
-
-// Add increments counter key by n.
-func (s *Set) Add(key string, n uint64) { s.m[key] += n }
-
-// Inc increments counter key by one.
-func (s *Set) Inc(key string) { s.m[key]++ }
-
-// Get returns the current value of key (zero if never touched).
-func (s *Set) Get(key string) uint64 { return s.m[key] }
-
-// Keys returns the touched counter names in sorted order.
-func (s *Set) Keys() []string {
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// String renders the set one counter per line, sorted by key.
-func (s *Set) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:\n", s.name)
-	for _, k := range s.Keys() {
-		fmt.Fprintf(&b, "  %-32s %12d\n", k, s.m[k])
-	}
-	return b.String()
-}
-
-// Ratio is a convenience for hit/miss style ratios: it returns num/(num+den),
-// and 0 when both are zero.
-func Ratio(num, den uint64) float64 {
-	if num+den == 0 {
-		return 0
-	}
-	return float64(num) / float64(num+den)
-}
+import "fmt"
 
 // Dist is a streaming distribution summary (count, sum, min, max).
 type Dist struct {
@@ -85,25 +33,6 @@ func (d *Dist) Mean() float64 {
 		return 0
 	}
 	return float64(d.Sum) / float64(d.Count)
-}
-
-// Merge folds other into d.
-func (d *Dist) Merge(other Dist) {
-	if other.Count == 0 {
-		return
-	}
-	if d.Count == 0 {
-		*d = other
-		return
-	}
-	if other.Min < d.Min {
-		d.Min = other.Min
-	}
-	if other.Max > d.Max {
-		d.Max = other.Max
-	}
-	d.Count += other.Count
-	d.Sum += other.Sum
 }
 
 func (d *Dist) String() string {

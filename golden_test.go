@@ -33,8 +33,9 @@ const goldenPath = "testdata/golden_stats.txt"
 // goldenSpecs are the exhibits pinned by the golden file: one NAS benchmark
 // with guarded accesses on every system flavor (CG exercises the protocol's
 // filter/SPMDir/FilterDir paths), the lowest-locality benchmark on the real
-// protocol (IS stresses FilterDir broadcasts), and a synthetic with remote-SPM
-// serves (ptrchase hits the Fig. 5d path).
+// protocol (IS stresses FilterDir broadcasts), and a pointer-chasing synthetic
+// (ptrchase looks SPMDir up on its guarded accesses but diverts none: every
+// spm[i] reads rr=0 rw=0, so no golden run pins the Fig. 5d divert path).
 func goldenSpecs() []system.Spec {
 	return []system.Spec{
 		{System: config.CacheBased, Benchmark: "CG", Scale: workloads.Tiny, Overrides: config.Overrides{Cores: 8}},

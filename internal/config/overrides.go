@@ -243,7 +243,8 @@ func ConfigDiff(cfg, base Config) []KnobValue {
 
 // ParseValue parses one knob or workload-parameter value: a plain integer
 // ("4096"), a binary size suffix ("64k", "2m", "1g"), or integral
-// scientific notation ("1e6"). Every value surface — -set, -sweep,
+// scientific notation ("1e6"); a suffixed value too large for an int is
+// rejected, not wrapped. Every value surface — -set, -sweep,
 // -workload, -wsweep, and their query-parameter twins — accepts exactly
 // this grammar, so a spelling that works on one flag works on all.
 func ParseValue(s string) (int, error) {
@@ -261,7 +262,7 @@ func ParseValue(s string) (int, error) {
 			shift = 30
 		}
 		if shift > 0 {
-			if v, err := strconv.Atoi(s[:n-1]); err == nil {
+			if v, err := strconv.Atoi(s[:n-1]); err == nil && v<<shift>>shift == v {
 				return v << shift, nil
 			}
 		}
@@ -277,14 +278,14 @@ func ParseValue(s string) (int, error) {
 // flag or a ?set= query parameter.
 func ParseAssignment(s string) (name string, value int, err error) {
 	name, raw, ok := strings.Cut(s, "=")
-	if !ok || name == "" {
+	if name = strings.TrimSpace(name); !ok || name == "" {
 		return "", 0, fmt.Errorf("config: bad assignment %q (want name=value)", s)
 	}
 	v, err := ParseValue(strings.TrimSpace(raw))
 	if err != nil {
 		return "", 0, fmt.Errorf("config: bad value in %q: %w", s, err)
 	}
-	return strings.TrimSpace(name), v, nil
+	return name, v, nil
 }
 
 // ParseOverrides folds a list of "name=value" assignments into one

@@ -3,6 +3,7 @@ package config
 import (
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -207,4 +208,78 @@ func TestParseValueGrammarSharedWithSet(t *testing.T) {
 	if _, err := ParseOverrides([]string{"l1d_size=64q"}); err == nil {
 		t.Fatal("ParseOverrides accepted a bogus suffix")
 	}
+}
+
+// valueSeeds spell values in every form ParseValue accepts, and some near
+// misses.
+var valueSeeds = []string{"4096", "-3", "64k", "2M", "1g", "1e6", "1.5e3", "0x10", "64q", "k", "",
+	" 7", "9223372036854775807", "9007199254740993k", "3e9", "-2147483648e0", "NaN", "1e-1"}
+
+// FuzzParseValue: an accepted value re-renders in decimal and re-parses to
+// itself, and a k/m/g-suffixed value is its digits times the suffix, never
+// a wrapped product.
+func FuzzParseValue(f *testing.F) {
+	for _, s := range valueSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		v, err := ParseValue(s)
+		if err != nil {
+			return
+		}
+		if back, err := ParseValue(strconv.Itoa(v)); err != nil || back != v {
+			t.Fatalf("%q parses to %d, which re-parses to %d, %v", s, v, back, err)
+		}
+		if n := len(s); n > 1 {
+			shift := map[byte]uint{'k': 10, 'K': 10, 'm': 20, 'M': 20, 'g': 30, 'G': 30}[s[n-1]]
+			if base, err := strconv.Atoi(s[:n-1]); err == nil && shift > 0 {
+				if want := float64(base) * float64(int64(1)<<shift); float64(v) != want {
+					t.Fatalf("%q parses to %d, want %g", s, v, want)
+				}
+			}
+		}
+	})
+}
+
+// FuzzParseAssignment: an accepted "name=value" re-renders with the value
+// in decimal and re-parses to the same name and value.
+func FuzzParseAssignment(f *testing.F) {
+	for _, s := range []string{"cores=16", " l1d_size = 64k ", "x=1e3", "=3", " =3", "cores", "a=b=1", "cores=-1"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		name, v, err := ParseAssignment(s)
+		if err != nil {
+			return
+		}
+		r := name + "=" + strconv.Itoa(v)
+		if n2, v2, err := ParseAssignment(r); err != nil || n2 != name || v2 != v {
+			t.Fatalf("%q parses to (%q, %d), whose rendering %q re-parses to (%q, %d), %v", s, name, v, r, n2, v2, err)
+		}
+	})
+}
+
+// FuzzParseOverrides: newline-separated -set payloads; accepted overrides
+// set only positive values, and re-render through List to assignments that
+// re-parse to the same Overrides.
+func FuzzParseOverrides(f *testing.F) {
+	for _, s := range []string{"cores=16\nl1d_size=64k", "cores=8\ncores=4", "mem_latency=1e2", "turbo=1", "cores=0", "cores=4\n", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		o, err := ParseOverrides(strings.Split(s, "\n"))
+		if err != nil {
+			return
+		}
+		var again []string
+		for _, kv := range o.List() {
+			again = append(again, kv.Name+"="+strconv.Itoa(kv.Value))
+		}
+		if err := o.Validate(); err != nil {
+			t.Fatalf("%q parses to invalid overrides: %v", s, err)
+		}
+		if back, err := ParseOverrides(again); err != nil || back != o {
+			t.Fatalf("%q parses to %+v, whose rendering %q re-parses to %+v, %v", s, o, again, back, err)
+		}
+	})
 }

@@ -2,8 +2,10 @@ package planner
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -424,4 +426,39 @@ func TestParseObjectives(t *testing.T) {
 	if _, _, err := ParseObjectives([]string{"hit_ratio~fast"}); err == nil {
 		t.Error("non-numeric slack should be rejected")
 	}
+}
+
+// FuzzParseObjectives: newline-separated -objective clauses; accepted
+// objectives and constraint re-render in the clause grammar and re-parse
+// to the same values.
+func FuzzParseObjectives(f *testing.F) {
+	for _, s := range []string{"cycles\nmax:hit_ratio\nenergy<=1e9\nmin:traffic", "hit_ratio~0.99", "a>=b<=1", "a~1\nb>=2",
+		"min:", "~NaN", " x >=-Inf", "hit_ratio~fast", "min:a~0x1p-2", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		objs, cons, err := ParseObjectives(strings.Split(s, "\n"))
+		if err != nil {
+			return
+		}
+		num := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+		var clauses []string
+		for _, o := range objs {
+			if o.Goal != "" {
+				clauses = append(clauses, o.Goal+":"+o.Metric)
+			} else {
+				clauses = append(clauses, o.Metric)
+			}
+		}
+		if cons != nil && cons.Op == "" {
+			clauses = append(clauses, cons.Metric+"~"+num(cons.SlackOfBest))
+		} else if cons != nil {
+			clauses = append(clauses, cons.Metric+cons.Op+num(cons.Value))
+		}
+		objs2, cons2, err := ParseObjectives(clauses)
+		// %v spells NaN as NaN, so a NaN bound compares equal to itself.
+		if err != nil || !reflect.DeepEqual(objs2, objs) || fmt.Sprint(cons2) != fmt.Sprint(cons) {
+			t.Fatalf("%q parses to %+v, %+v, whose rendering %q re-parses to %+v, %+v, %v", s, objs, cons, clauses, objs2, cons2, err)
+		}
+	})
 }

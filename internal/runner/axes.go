@@ -38,7 +38,7 @@ type ParamAxis struct {
 // parseAxis parses one "name=v1,v2,..." axis payload.
 func parseAxis(s string) (string, []int, error) {
 	name, raw, ok := strings.Cut(s, "=")
-	if !ok || name == "" || raw == "" {
+	if name = strings.TrimSpace(name); !ok || name == "" || raw == "" {
 		return "", nil, fmt.Errorf("runner: bad sweep axis %q (want name=v1,v2,...)", s)
 	}
 	var values []int
@@ -49,7 +49,7 @@ func parseAxis(s string) (string, []int, error) {
 		}
 		values = append(values, v)
 	}
-	return strings.TrimSpace(name), values, nil
+	return name, values, nil
 }
 
 // ParseKnobAxis parses the "-sweep name=v1,v2,..." flag payload.

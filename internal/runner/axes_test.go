@@ -2,6 +2,7 @@ package runner
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -231,4 +232,33 @@ func TestParseParamAxis(t *testing.T) {
 			t.Errorf("ParseParamAxis accepted %q", bad)
 		}
 	}
+}
+
+// FuzzParseAxis: an accepted -sweep or -wsweep payload re-renders with its
+// values in decimal and re-parses to the same axis, by both parsers.
+func FuzzParseAxis(f *testing.F) {
+	for _, s := range []string{"filter_entries=16,32, 48", "stride=8,64k, 128", "cores=", "=1,2", " =1", "x=1,,2", "x=1e3,-4", "x"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		kax, kerr := ParseKnobAxis(s)
+		pax, perr := ParseParamAxis(s)
+		if (kerr == nil) != (perr == nil) {
+			t.Fatalf("%q: knob axis error %v, param axis error %v", s, kerr, perr)
+		}
+		if kerr != nil {
+			return
+		}
+		if kax.Name != pax.Name || !reflect.DeepEqual(kax.Values, pax.Values) {
+			t.Fatalf("%q: knob axis %+v, param axis %+v", s, kax, pax)
+		}
+		vals := make([]string, len(kax.Values))
+		for i, v := range kax.Values {
+			vals[i] = strconv.Itoa(v)
+		}
+		r := kax.Name + "=" + strings.Join(vals, ",")
+		if back, err := ParseKnobAxis(r); err != nil || !reflect.DeepEqual(back, kax) {
+			t.Fatalf("%q parses to %+v, whose rendering %q re-parses to %+v, %v", s, kax, r, back, err)
+		}
+	})
 }

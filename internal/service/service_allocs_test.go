@@ -22,8 +22,8 @@ import (
 // codec cost (105 and 84). The race detector's instrumentation allocates,
 // so these build without it.
 const (
-	cachedSubmitAllocs = 80 // measured 64
-	clientDecodeAllocs = 72 // measured 59
+	cachedSubmitAllocs = 72 // measured 58
+	clientDecodeAllocs = 67 // measured 54
 )
 
 // TestCachedSubmitAllocs pins what the daemon allocates to answer a cached

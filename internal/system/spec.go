@@ -6,11 +6,16 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/config"
 	"repro/internal/workloads"
@@ -176,7 +181,44 @@ func (s Spec) Key() string {
 // cache entries simply miss (v3 added the workload-parameter lines; v4
 // marks the NoC's route reservation at injection, which changed every
 // run's timing).
+//
+// A repeat of an equal Spec is answered from a bounded process-wide memo
+// (hashMemo) instead of being encoded and hashed again; the digest is the
+// same either way.
 func (s Spec) Hash() string {
+	hashMemo.Lock()
+	h, ok := hashMemo.m[s]
+	hashMemo.Unlock()
+	if ok {
+		return h
+	}
+	h = s.hash()
+	hashMemo.Lock()
+	if len(hashMemo.m) >= hashMemoSize {
+		clear(hashMemo.m)
+	}
+	hashMemo.m[s] = h
+	hashMemo.Unlock()
+	return h
+}
+
+// hashMemoSize bounds hashMemo. An entry is a 416-byte Spec and its
+// 64-byte digest, so a full memo holds about half a megabyte.
+const hashMemoSize = 1024
+
+// hashMemo maps each recently hashed Spec to its digest. Hash is a pure
+// function of the Spec value (systemDefaults and the knob and workload
+// registries are fixed for the life of the process), so a stored digest
+// is always the one hash would compute. When the memo is full it is
+// cleared, not aged: a miss only costs one hash.
+var hashMemo = struct {
+	sync.Mutex
+	m map[Spec]string
+}{m: map[Spec]string{}}
+
+// hash computes Hash's digest from scratch: the v4 encoding appended into
+// a stack buffer, then SHA-256.
+func (s Spec) hash() string {
 	var buf [512]byte
 	b := append(buf[:0], "hybridsim-spec-v4\nsystem="...)
 	b = append(b, s.System.String()...)
@@ -345,11 +387,13 @@ func appendString(b []byte, str string) []byte {
 // top-level "cores" and "filter_entries" aliases fold into Overrides; a
 // negative alias, or one contradicting its "overrides" twin, is rejected.
 func (s *Spec) UnmarshalJSON(b []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
+	obj, err := leadingObject(b)
+	if err != nil {
+		return fmt.Errorf("system: bad spec: %w", err)
+	}
 	var sj specJSON
 	sj.Overrides = &sj.ov
-	if err := dec.Decode(&sj); err != nil {
+	if err := json.Unmarshal(obj, &sj); err != nil {
 		return fmt.Errorf("system: bad spec: %w", err)
 	}
 	decoded := Spec{
@@ -362,22 +406,11 @@ func (s *Spec) UnmarshalJSON(b []byte) error {
 	if sj.Overrides != nil {
 		decoded.Overrides = *sj.Overrides
 	}
-	for _, alias := range [...]struct {
-		name string
-		v    int
-		ov   *int
-	}{
-		{"cores", sj.Cores, &decoded.Overrides.Cores},
-		{"filter_entries", sj.FilterEntries, &decoded.Overrides.FilterEntries},
-	} {
-		switch {
-		case alias.v < 0:
-			return fmt.Errorf("system: negative %s %d", alias.name, alias.v)
-		case alias.v > 0 && *alias.ov > 0 && alias.v != *alias.ov:
-			return fmt.Errorf("system: %s %d conflicts with overrides %s %d", alias.name, alias.v, alias.name, *alias.ov)
-		case alias.v > 0:
-			*alias.ov = alias.v
-		}
+	if err := foldAlias("cores", sj.Cores, &decoded.Overrides.Cores); err != nil {
+		return err
+	}
+	if err := foldAlias("filter_entries", sj.FilterEntries, &decoded.Overrides.FilterEntries); err != nil {
+		return err
 	}
 	// JSON objects carry no order, so the decoded assignment is rendered
 	// in the workload's canonical declaration order — one spelling per
@@ -388,6 +421,151 @@ func (s *Spec) UnmarshalJSON(b []byte) error {
 	}
 	*s = decoded
 	return nil
+}
+
+// foldAlias folds the top-level alias name, decoded as v, into its
+// Overrides twin ov.
+func foldAlias(name string, v int, ov *int) error {
+	switch {
+	case v < 0:
+		return fmt.Errorf("system: negative %s %d", name, v)
+	case v > 0 && *ov > 0 && v != *ov:
+		return fmt.Errorf("system: %s %d conflicts with overrides %s %d", name, v, name, *ov)
+	case v > 0:
+		*ov = v
+	}
+	return nil
+}
+
+// specFields and overrideFields are the wire names of specJSON's and
+// config.Overrides' fields, read from their tags: the only keys a Spec
+// body and its "overrides" object may carry.
+var specFields, overrideFields = jsonFields(specJSON{}), jsonFields(config.Overrides{})
+
+func jsonFields(v any) []string {
+	t := reflect.TypeOf(v)
+	var names []string
+	for i := 0; i < t.NumField(); i++ {
+		if name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ","); name != "" {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// leadingObject returns the JSON object b starts with, from its opening to
+// its closing brace, and rejects any key of it, or of its "overrides"
+// object, that names no field. It is the strict half of a json.Decoder
+// with unknown fields disallowed, without building one per Spec: bytes
+// after the object are ignored, as one Decode ignores them, and anything
+// but an object fails, as decoding it into a Spec would. The scan follows
+// only strings and nesting; json.Unmarshal of the object checks its
+// syntax.
+func leadingObject(b []byte) ([]byte, error) {
+	start := 0
+	for start < len(b) && isSpace(b[start]) {
+		start++
+	}
+	if start == len(b) || b[start] != '{' {
+		return nil, errors.New("want a JSON object")
+	}
+	// atKey is set where the next string is a key to check: in the Spec
+	// object, or in an object that is the value of its "overrides" key.
+	depth, atKey, inOverrides, overridesObj := 0, false, false, false
+	for i := start; i < len(b); i++ {
+		switch b[i] {
+		case '{', '[':
+			depth++
+			if depth == 2 {
+				overridesObj = inOverrides && b[i] == '{'
+			}
+			atKey = depth == 1 || depth == 2 && overridesObj
+		case '}', ']':
+			if depth--; depth == 0 {
+				return b[start : i+1], nil
+			}
+		case ',':
+			atKey = depth == 1 || depth == 2 && overridesObj
+		case '"':
+			j := i + 1
+			for ; j < len(b) && b[j] != '"'; j++ {
+				if b[j] == '\\' {
+					j++
+				}
+			}
+			if j >= len(b) {
+				return nil, io.ErrUnexpectedEOF
+			}
+			if atKey {
+				fields := specFields
+				if depth == 2 {
+					fields = overrideFields
+				}
+				name, err := knownField(b[i:j+1], fields)
+				if err != nil {
+					return nil, err
+				}
+				if depth == 1 {
+					inOverrides = name == "overrides"
+				}
+				atKey = false
+			}
+			i = j
+		}
+	}
+	return nil, io.ErrUnexpectedEOF
+}
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// knownField returns the field of fields one quoted object key decodes
+// into, matched as encoding/json matches a key to a struct field: equal,
+// or equal under its case folding.
+func knownField(quoted []byte, fields []string) (string, error) {
+	key := quoted[1 : len(quoted)-1]
+	if bytes.IndexByte(key, '\\') >= 0 {
+		var unquoted string
+		if err := json.Unmarshal(quoted, &unquoted); err != nil {
+			return "", err
+		}
+		key = []byte(unquoted)
+	}
+	for _, name := range fields {
+		if foldEqual(key, name) {
+			return name, nil
+		}
+	}
+	return "", fmt.Errorf("json: unknown field %q", key)
+}
+
+// foldEqual reports whether key equals the ASCII field name under
+// encoding/json's folding: ASCII letters compare case-insensitively, and
+// any other rune stands for the smallest rune of its Unicode simple-fold
+// orbit, so the Kelvin sign matches k and the long s matches s.
+func foldEqual(key []byte, name string) bool {
+	for _, r := range string(key) {
+		if name == "" || foldRune(r) != foldRune(rune(name[0])) {
+			return false
+		}
+		name = name[1:]
+	}
+	return name == ""
+}
+
+func foldRune(r rune) rune {
+	if r < utf8.RuneSelf {
+		if 'a' <= r && r <= 'z' {
+			r -= 'a' - 'A'
+		}
+		return r
+	}
+	for {
+		r2 := unicode.SimpleFold(r)
+		if r2 <= r {
+			return r2
+		}
+		r = r2
+	}
 }
 
 // Config materializes the machine configuration the Spec describes: Table 1

@@ -102,6 +102,18 @@ func FuzzSpecJSON(f *testing.F) {
 		`{"system":"cache","benchmark":"EP","scale":"tiny","turbo":true}`,
 		`{"system":"quantum","benchmark":"EP","scale":"tiny"}`,
 		`{"system":"cache","benchmark":"EP","scale":"tiny"} trailing`,
+		` {"system":"cache","benchmark":"EP","scale":"tiny"}{"seed":1}`,
+		`{"system":"cache","benchmark":"EP","scale":"tiny","ſeed":3,"overrides":{"coreſ":8}}`,
+		"{\"system\":\"cache\",\"benchmark\":\"EP\",\"scale\":\"tiny\",\"overrides\":{\"lin\u212a_latency\":9}}",
+		`{"system":"cache","benchmark":"EP","scale":"tiny","\u0073eed":3,"overrides":{"\u0063ores":4}}`,
+		`{"system":"cache","benchmark":"EP","scale":"tiny","over\"rides":{}}`,
+		`{"system":"cache","benchmark":"EP","scale":"tiny","overrides":[{"turbo":1}]}`,
+		`{"system":"cache","benchmark":"EP","scale":"tiny","params":{"turbo":1,"stride":{"x":1}}}`,
+		`{"system":"cache","benchmark":"EP","scale":"tiny","overrides":{"cores":4},"cores":"4"}`,
+		`{"system":"cache","benchmark":"EP\"}`,
+		`{"system":"cache","benchmark":"EP","scale":"tiny"`,
+		`[{"system":"cache","benchmark":"EP","scale":"tiny"}]`,
+		`{"system":"cache","benchmark":"EP","scale":"tiny","overrides":{"cores":4,}}`,
 		`null`,
 		"a<b>&\"\u2028\u00e9", `<`, `>`, `&`, "\xff", "\x7f\t",
 		`stride=128,footprint=4k`,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/config"
@@ -73,14 +74,62 @@ func randomSpec(rnd *rand.Rand) Spec {
 	return s
 }
 
+// TestSpecHashMatchesReference hashes every random Spec twice, through the
+// memo, and once by the uncached encoder: all three digests must equal the
+// reference. The run draws more distinct Specs than the memo holds, so it
+// also crosses the memo's eviction.
 func TestSpecHashMatchesReference(t *testing.T) {
 	rnd := rand.New(rand.NewSource(1))
+	distinct := map[Spec]bool{}
 	for i := 0; i < 3000; i++ {
 		s := randomSpec(rnd)
-		if got, want := s.Hash(), referenceHash(s); got != want {
-			t.Fatalf("spec %+v: Hash = %s, reference %s", s, got, want)
+		distinct[s] = true
+		want := referenceHash(s)
+		for _, got := range []string{s.Hash(), s.Hash(), s.hash()} {
+			if got != want {
+				t.Fatalf("spec %+v: Hash = %s, reference %s", s, got, want)
+			}
 		}
 	}
+	if len(distinct) <= hashMemoSize {
+		t.Fatalf("%d distinct specs never fill the %d-entry memo", len(distinct), hashMemoSize)
+	}
+	hashMemo.Lock()
+	defer hashMemo.Unlock()
+	if n := len(hashMemo.m); n > hashMemoSize {
+		t.Fatalf("memo holds %d entries, bound %d", n, hashMemoSize)
+	}
+}
+
+// TestSpecHashConcurrent hashes overlapping slices of a Spec set larger
+// than the memo from many goroutines at once, so lookups, inserts and
+// evictions interleave; every digest must still be the reference. Run it
+// under -race: the memo is shared by the whole process.
+func TestSpecHashConcurrent(t *testing.T) {
+	rnd := rand.New(rand.NewSource(2))
+	specs := make([]Spec, hashMemoSize*3/2)
+	want := make([]string, len(specs))
+	for i := range specs {
+		specs[i] = randomSpec(rnd)
+		want[i] = referenceHash(specs[i])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for pass := 0; pass < 2; pass++ {
+				for i := range specs {
+					j := (i + g*len(specs)/8) % len(specs)
+					if got := specs[j].Hash(); got != want[j] {
+						t.Errorf("spec %+v: Hash = %s, reference %s", specs[j], got, want[j])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // hashBenchSpec is the shape the result cache hashes most: a NAS kernel on
@@ -88,16 +137,30 @@ func TestSpecHashMatchesReference(t *testing.T) {
 var hashBenchSpec = Spec{System: config.CacheBased, Benchmark: "MG", Scale: workloads.Small, Overrides: config.Overrides{Cores: 16}}
 
 // TestSpecHashAllocs pins the cost of the cached-answer path's identity:
-// hashing a Spec allocates at most three times.
+// hashing a repeated Spec is a memo lookup that allocates nothing, and the
+// uncached encoder allocates only the digest string.
 func TestSpecHashAllocs(t *testing.T) {
-	if n := testing.AllocsPerRun(100, func() { _ = hashBenchSpec.Hash() }); n > 3 {
-		t.Fatalf("Spec.Hash allocates %.0f times, want <= 3", n)
+	if n := testing.AllocsPerRun(100, func() { _ = hashBenchSpec.Hash() }); n != 0 {
+		t.Fatalf("Spec.Hash of a repeated Spec allocates %.0f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = hashBenchSpec.hash() }); n > 1 {
+		t.Fatalf("the uncached encoder allocates %.0f times, want <= 1", n)
 	}
 }
 
+// BenchmarkSpecHash is a memo hit, the cost every repeated lookup pays.
 func BenchmarkSpecHash(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = hashBenchSpec.Hash()
+	}
+}
+
+// BenchmarkSpecHashUncached is the encoder behind the memo, the cost of a
+// Spec's first hash.
+func BenchmarkSpecHashUncached(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = hashBenchSpec.hash()
 	}
 }
